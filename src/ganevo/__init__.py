@@ -6,19 +6,12 @@ See the README for the CLI and the module layout.
 """
 
 from .backend import AdamConfig, NetworkInstance, ParamStore, build_network
-from .coevolution import (
-    EvolutionState,
-    Individual,
-    make_pairs,
-    resume_evolution,
-    run_evolution,
-    run_generation,
-)
-from .experiment import MetricsRecord, RunConfig, load_config
+from .coevolution import EvolutionState, Individual, MetricsRecord, make_pairs, run_generation
+from .experiment import RunConfig, load_config, resume_evolution, run_evolution
 from .fitness import fid, frechet_distance
 from .gan import NoiseSource, TrainingBudget, train_pair
 from .genome import Gene, Genome, distance, infer_shapes, new_minimal_genome, validate
-from .variation import MutationRates, mutate, next_generation, speciate
+from .variation import MutationRates, mutate_with_events, next_generation, speciate
 
 __version__ = "0.1.0"
 
@@ -28,6 +21,6 @@ __all__ = [
     "run_evolution", "run_generation", "MetricsRecord", "RunConfig",
     "load_config", "fid", "frechet_distance", "NoiseSource", "TrainingBudget",
     "train_pair", "Gene", "Genome", "distance", "infer_shapes",
-    "new_minimal_genome", "validate", "MutationRates", "mutate",
+    "new_minimal_genome", "validate", "MutationRates", "mutate_with_events",
     "next_generation", "speciate", "__version__",
 ]

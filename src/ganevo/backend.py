@@ -58,9 +58,6 @@ class ParamEntry:
             step=self.step,
         )
 
-    def shape_signature(self) -> tuple:
-        return (tuple(self.weights.shape), tuple(self.bias.shape))
-
 
 def fresh_entry(weight_shape, bias_shape, fan_in, rng, dtype=np.float32) -> ParamEntry:
     """Uniform(-a, a) weights with a = sqrt(1/fan_in), zero bias."""
@@ -95,9 +92,6 @@ class ParamStore:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self.entries
 
 
 def adam_step(entry: ParamEntry, grad_w: np.ndarray, grad_b: np.ndarray,

@@ -1,24 +1,25 @@
-"""Orchestration of one evolutionary run.
+"""One generation of the coevolutionary search, with no I/O.
 
 Two subpopulations (generators and discriminators) are paired per generation,
 every pair trains for a fixed batch budget, fitness is assigned from bout
 losses and Frechet distances, each subpopulation is speciated and reproduced,
-and a metrics record is emitted.  Everything is driven by named seeded rng
-streams so runs replay bit-exactly and checkpoints can resume mid-run.
+and a metrics record is returned.  Everything is driven by named seeded rng
+streams and the state's own innovation counter, so runs replay bit-exactly
+and checkpoints can resume mid-run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .backend import AdamConfig, NetworkInstance, ParamStore, build_network
 from .fitness import Embedding, assign_fitness, classifier_score, fid, rmse_metric
 from .gan import NoiseSource, PairingOutcome, TrainingBudget, generate_samples, train_pair
-from .genome import DISCRIMINATOR, GENERATOR, Genome, infer_shapes, new_minimal_genome
+from .genome import Genome, InnovationCounter, infer_shapes
 from .variation import (
     FitnessRecord,
     MutationRates,
@@ -29,9 +30,6 @@ from .variation import (
     speciate,
 )
 
-if TYPE_CHECKING:
-    from .experiment import MetricsRecord, RunConfig
-
 ALL_VS_ALL = "all"
 RANDOM = "random"
 ALL_VS_BEST = "best"
@@ -40,6 +38,58 @@ PAIRING_STRATEGIES = (ALL_VS_ALL, RANDOM, ALL_VS_BEST)
 # Stream names for the documented seed-split scheme: SeedSequence(seed)
 # spawns one child per entry, in this order.
 RNG_STREAMS = ("init", "variation", "pairing", "noise_train", "noise_eval", "data")
+
+METRICS_SCHEMA = 1
+
+
+@dataclass(frozen=True)
+class MetricsRecord:
+    generation: int
+    d_best_fitness: float
+    d_mean_fitness: float
+    g_best_fitness: float
+    g_mean_fitness: float
+    best_fid: float
+    rmse: float
+    classifier_score: float | None
+    d_mean_layers: float
+    g_mean_layers: float
+    d_mean_gene_reuse: float
+    g_mean_gene_reuse: float
+    d_species_count: int
+    g_species_count: int
+    d_threshold: float
+    g_threshold: float
+    wall_seconds: float
+
+    def to_line(self) -> str:
+        """Self-describing key=value line; wall clock is deliberately left
+        out so equal-seed runs produce byte-identical metrics files."""
+        parts = [f"schema={METRICS_SCHEMA}"]
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "wall_seconds" or value is None:
+                continue
+            # f.type is the annotation's text: annotations are postponed here
+            shown = str(value) if f.type == "int" else repr(float(value))
+            parts.append(f"{f.name}={shown}")
+        return " ".join(parts)
+
+    @classmethod
+    def from_line(cls, line: str) -> MetricsRecord:
+        pairs = dict(item.split("=", 1) for item in line.split())
+        schema = int(pairs.pop("schema"))
+        if schema != METRICS_SCHEMA:
+            raise ValueError(f"unsupported metrics schema {schema}")
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            if f.name == "wall_seconds":
+                kwargs[f.name] = 0.0
+            elif f.name not in pairs:
+                kwargs[f.name] = None
+            else:
+                kwargs[f.name] = (int if f.type == "int" else float)(pairs[f.name])
+        return cls(**kwargs)
 
 
 @dataclass
@@ -67,6 +117,7 @@ class EvolutionState:
     speciation_g: SpeciationState
     speciation_d: SpeciationState
     next_individual_id: int
+    innovations: InnovationCounter
     rng: dict[str, np.random.Generator]
     train_noise: NoiseSource
     eval_noise: NoiseSource
@@ -183,11 +234,10 @@ def _materialize(offspring: list[Offspring], parents: dict[int, Individual],
     return new_population, elite_of
 
 
-def run_generation(state: EvolutionState, config: "RunConfig",
-                   classifier=None) -> tuple[EvolutionState, "MetricsRecord"]:
-    """Execute one full generation in place; returns the metrics record."""
-    from . import experiment  # deferred: experiment imports this module
-
+def run_generation(state: EvolutionState, config,
+                   classifier=None) -> tuple[EvolutionState, MetricsRecord]:
+    """Execute one full generation of a RunConfig in place; returns the
+    metrics record."""
     start = time.perf_counter()
     data = state.data_source
     data_shape = data.data_shape
@@ -231,12 +281,13 @@ def run_generation(state: EvolutionState, config: "RunConfig",
     rates = MutationRates(add_layer=config.add_layer_rate,
                           remove_layer=config.remove_layer_rate,
                           change_layer=config.change_layer_rate)
-    kwargs = dict(rates=rates, rng=state.rng["variation"], tournament_k=config.tournament_k,
-                  feature_range=config.feature_range, channel_range=config.channel_range)
+    kwargs = dict(rates=rates, rng=state.rng["variation"], counter=state.innovations,
+                  tournament_k=config.tournament_k, feature_range=config.feature_range,
+                  channel_range=config.channel_range)
     offspring_g = next_generation(state.generators, species_g, fitness_map, **kwargs)
     offspring_d = next_generation(state.discriminators, species_d, fitness_map, **kwargs)
 
-    record = experiment.MetricsRecord(
+    record = MetricsRecord(
         generation=state.generation,
         d_best_fitness=best_d.fitness.raw,
         d_mean_fitness=float(np.mean([d.fitness.raw for d in state.discriminators])),
@@ -265,94 +316,3 @@ def run_generation(state: EvolutionState, config: "RunConfig",
     state.prev_best_d = elite_d.get(best_d.id, state.discriminators[0].id)
     state.generation += 1
     return state, record
-
-
-def init_state(config: "RunConfig") -> EvolutionState:
-    """Fresh populations of minimal genomes plus the derived rng streams."""
-    from . import experiment
-
-    children = np.random.SeedSequence(config.seed).spawn(len(RNG_STREAMS))
-    rng = {name: np.random.Generator(np.random.PCG64(seq))
-           for name, seq in zip(RNG_STREAMS, children)}
-    generators = []
-    discriminators = []
-    next_id = 0
-    for _ in range(config.generator_population):
-        genome = new_minimal_genome(GENERATOR, rng["init"],
-                                    feature_range=config.feature_range,
-                                    max_len=config.genome_limit)
-        generators.append(Individual(id=next_id, genome=genome))
-        next_id += 1
-    for _ in range(config.discriminator_population):
-        genome = new_minimal_genome(DISCRIMINATOR, rng["init"],
-                                    feature_range=config.feature_range,
-                                    max_len=config.genome_limit)
-        discriminators.append(Individual(id=next_id, genome=genome))
-        next_id += 1
-    return EvolutionState(
-        generation=0,
-        generators=generators,
-        discriminators=discriminators,
-        speciation_g=SpeciationState(target_species=config.species_target),
-        speciation_d=SpeciationState(target_species=config.species_target),
-        next_individual_id=next_id,
-        rng=rng,
-        train_noise=NoiseSource(config.noise_dim, rng["noise_train"]),
-        eval_noise=NoiseSource(config.noise_dim, rng["noise_eval"]),
-        data_source=experiment.make_data_source(config, rng["data"]),
-        embedding=experiment.make_embedding(config.embedding),
-    )
-
-
-def _evolution_loop(state: EvolutionState, config: "RunConfig",
-                    classifier=None) -> list["MetricsRecord"]:
-    """Run generations until config.generations, persisting as we go.
-
-    Metrics lines append to the run directory and a resumable checkpoint is
-    rewritten after every generation, so a failed run keeps its history.
-    """
-    from . import experiment
-
-    history = []
-    out_dir = config.out_dir
-    while state.generation < config.generations:
-        state, record = run_generation(state, config, classifier)
-        history.append(record)
-        experiment.append_metrics(out_dir, record)
-        experiment.write_checkpoint(state, config, out_dir)
-    return history
-
-
-def run_evolution(config: "RunConfig", classifier=None) -> tuple[list["MetricsRecord"], EvolutionState]:
-    """Full run from fresh minimal populations.
-
-    Persists the resolved config, the metrics stream, a checkpoint per
-    generation and a final grid of generator samples into config.out_dir.
-    """
-    from . import experiment
-
-    experiment.prepare_run_dir(config)
-    state = init_state(config)
-    experiment.write_checkpoint(state, config, config.out_dir)
-    history = _evolution_loop(state, config, classifier)
-    experiment.dump_final_samples(state, config)
-    return history, state
-
-
-def resume_evolution(checkpoint_dir: str, generations: int | None = None,
-                     out_dir: str | None = None,
-                     classifier=None) -> tuple[list["MetricsRecord"], EvolutionState]:
-    """Continue a checkpointed run; appends to the original metrics stream."""
-    import os
-
-    from . import experiment
-
-    state, config = experiment.read_checkpoint(checkpoint_dir)
-    if generations is not None:
-        config = experiment.replace_config(config, generations=generations)
-    if out_dir is not None:
-        config = experiment.replace_config(config, out_dir=out_dir)
-    os.makedirs(config.out_dir, exist_ok=True)
-    history = _evolution_loop(state, config, classifier)
-    experiment.dump_final_samples(state, config)
-    return history, state

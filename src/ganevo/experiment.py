@@ -1,4 +1,5 @@
-"""Run configuration, dataset ingestion, persistence and the CLI.
+"""Run configuration, dataset ingestion, persistence, the run drivers and
+the CLI.
 
 Config files and metrics are line-oriented key=value text so runs diff
 cleanly.  Checkpoints pair a JSON state file with a raw little-endian float32
@@ -12,17 +13,32 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import coevolution
 from .backend import ParamEntry, ParamStore
+from .coevolution import (
+    PAIRING_STRATEGIES,
+    RNG_STREAMS,
+    EvolutionState,
+    Individual,
+    MetricsRecord,
+    run_generation,
+)
 from .fitness import Embedding, identity_embedding, random_projection_embedding
-from .gan import NoiseSource
-from .genome import GLOBAL_INNOVATIONS, genome_from_record, genome_to_record
+from .gan import NoiseSource, generate_samples
+from .genome import (
+    DISCRIMINATOR,
+    GENERATOR,
+    InnovationCounter,
+    genome_from_record,
+    genome_to_record,
+    new_minimal_genome,
+)
 from .variation import FitnessRecord, SpeciationState
 
 DATA_DIR_ENV = "GANEVO_DATA_DIR"
@@ -37,7 +53,6 @@ IDX_LABELS_MAGIC = 0x00000801
 RING_SCALE_MARGIN = 1.1
 
 CHECKPOINT_VERSION = 1
-METRICS_SCHEMA = 1
 
 
 class ConfigError(ValueError):
@@ -78,57 +93,19 @@ class RunConfig:
     ring_sigma: float = 0.05
 
 
-def _parse_int(v: str) -> int:
-    return int(v)
+# every key's parser and validation follow the type of its default
+_DEFAULTS = dataclasses.asdict(RunConfig())
 
 
-def _parse_float(v: str) -> float:
-    return float(v)
+def _parse_value(key: str, raw: str):
+    default = _DEFAULTS[key]
+    if isinstance(default, tuple):
+        parts = raw.split(",")
+        if len(parts) != len(default):
+            raise ValueError(f"expected {len(default)} comma-separated values")
+        return tuple(type(d)(p.strip()) for d, p in zip(default, parts))
+    return type(default)(raw)
 
-
-def _parse_str(v: str) -> str:
-    return v
-
-
-def _parse_int_pair(v: str) -> tuple[int, int]:
-    parts = [p.strip() for p in v.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated integers")
-    return (int(parts[0]), int(parts[1]))
-
-
-def _show_int_pair(v: tuple[int, int]) -> str:
-    return f"{v[0]},{v[1]}"
-
-
-_CONFIG_PARSERS = {
-    "generations": _parse_int,
-    "generator_population": _parse_int,
-    "discriminator_population": _parse_int,
-    "add_layer_rate": _parse_float,
-    "remove_layer_rate": _parse_float,
-    "change_layer_rate": _parse_float,
-    "feature_range": _parse_int_pair,
-    "channel_range": _parse_int_pair,
-    "tournament_k": _parse_int,
-    "fid_samples": _parse_int,
-    "rmse_samples": _parse_int,
-    "genome_limit": _parse_int,
-    "species_target": _parse_int,
-    "batch_size": _parse_int,
-    "batches_per_pair": _parse_int,
-    "learning_rate": _parse_float,
-    "dataset": _parse_str,
-    "data_dir": _parse_str,
-    "pairing": _parse_str,
-    "noise_dim": _parse_int,
-    "embedding": _parse_str,
-    "seed": _parse_int,
-    "out_dir": _parse_str,
-    "ring_modes": _parse_int,
-    "ring_radius": _parse_float,
-    "ring_sigma": _parse_float,
-}
 
 _POSITIVE_COUNTS = (
     "generator_population", "discriminator_population", "tournament_k",
@@ -139,6 +116,10 @@ _RATES = ("add_layer_rate", "remove_layer_rate", "change_layer_rate")
 
 
 def validate_config(config: RunConfig) -> None:
+    for key, default in _DEFAULTS.items():
+        value = getattr(config, key)
+        if isinstance(default, float) and not math.isfinite(value):
+            raise ConfigError(f"{key}: {value} is not finite")
     if config.generations < 0:
         raise ConfigError(f"generations: {config.generations} must be >= 0")
     for key in _POSITIVE_COUNTS:
@@ -157,9 +138,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"learning_rate: {config.learning_rate} must be >= 0")
     if config.dataset not in DATASETS:
         raise ConfigError(f"dataset: {config.dataset!r} not one of {DATASETS}")
-    if config.pairing not in coevolution.PAIRING_STRATEGIES:
-        raise ConfigError(
-            f"pairing: {config.pairing!r} not one of {coevolution.PAIRING_STRATEGIES}")
+    if config.pairing not in PAIRING_STRATEGIES:
+        raise ConfigError(f"pairing: {config.pairing!r} not one of {PAIRING_STRATEGIES}")
     if config.embedding not in EMBEDDINGS:
         raise ConfigError(f"embedding: {config.embedding!r} not one of {EMBEDDINGS}")
     if config.ring_radius <= 0:
@@ -182,15 +162,15 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 key, _, raw = line.partition("=")
                 key = key.strip()
                 raw = raw.strip()
-                if key not in _CONFIG_PARSERS:
+                if key not in _DEFAULTS:
                     raise ConfigError(f"unknown key {key!r}")
                 try:
-                    values[key] = _CONFIG_PARSERS[key](raw)
+                    values[key] = _parse_value(key, raw)
                 except ValueError as exc:
                     raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
     if overrides:
         for key, value in overrides.items():
-            if key not in _CONFIG_PARSERS:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"unknown key {key!r}")
             values[key] = value
     config = RunConfig(**values)
@@ -204,33 +184,25 @@ def replace_config(config: RunConfig, **changes) -> RunConfig:
     return out
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["feature_range"] = list(config.feature_range)
-    out["channel_range"] = list(config.channel_range)
-    return out
-
-
 def config_from_dict(record: dict) -> RunConfig:
-    record = dict(record)
-    record["feature_range"] = tuple(record["feature_range"])
-    record["channel_range"] = tuple(record["channel_range"])
-    config = RunConfig(**record)
+    """Inverse of dataclasses.asdict after a JSON round trip (tuples come
+    back as lists)."""
+    config = RunConfig(**{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in record.items()})
     validate_config(config)
     return config
 
 
 def save_config(config: RunConfig, path: str) -> None:
     lines = []
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(config, f.name)
+    for key, value in dataclasses.asdict(config).items():
         if isinstance(value, tuple):
-            shown = _show_int_pair(value)
+            shown = ",".join(str(v) for v in value)
         elif isinstance(value, float):
             shown = repr(value)
         else:
             shown = str(value)
-        lines.append(f"{f.name} = {shown}")
+        lines.append(f"{key} = {shown}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -256,6 +228,9 @@ def _parse_idx(path: str, expected_magic: int) -> np.ndarray:
     if expected_magic == IDX_IMAGES_MAGIC:
         rows = _read_be_u32(data, 8, path)
         cols = _read_be_u32(data, 12, path)
+        for offset, value in ((4, count), (8, rows), (12, cols)):
+            if value == 0:
+                raise IdxFormatError(f"{path}: zero dimension at byte offset {offset}")
         header = 16
         expected = header + count * rows * cols
         if len(data) < expected:
@@ -367,10 +342,6 @@ class Ring2dSource:
         self.rng.bit_generator.state = state["rng"]
 
 
-def ring2d_dataset(modes: int, radius: float, noise_sigma: float, rng) -> Ring2dSource:
-    return Ring2dSource(modes, radius, noise_sigma, rng)
-
-
 class ScaledSource:
     """Divides another source's samples by a constant so they fit [-1, 1]."""
 
@@ -433,61 +404,6 @@ def mode_coverage(fake_samples: np.ndarray, mode_centers: np.ndarray,
 
 
 # -- metrics ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    generation: int
-    d_best_fitness: float
-    d_mean_fitness: float
-    g_best_fitness: float
-    g_mean_fitness: float
-    best_fid: float
-    rmse: float
-    classifier_score: float | None
-    d_mean_layers: float
-    g_mean_layers: float
-    d_mean_gene_reuse: float
-    g_mean_gene_reuse: float
-    d_species_count: int
-    g_species_count: int
-    d_threshold: float
-    g_threshold: float
-    wall_seconds: float
-
-    _INTS = ("generation", "d_species_count", "g_species_count")
-
-    def to_line(self) -> str:
-        """Self-describing key=value line; wall clock is deliberately left
-        out so equal-seed runs produce byte-identical metrics files."""
-        parts = [f"schema={METRICS_SCHEMA}"]
-        for f in dataclasses.fields(self):
-            if f.name == "wall_seconds":
-                continue
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            shown = str(value) if f.name in self._INTS else repr(float(value))
-            parts.append(f"{f.name}={shown}")
-        return " ".join(parts)
-
-    @classmethod
-    def from_line(cls, line: str) -> "MetricsRecord":
-        pairs = dict(item.split("=", 1) for item in line.split())
-        schema = int(pairs.pop("schema"))
-        if schema != METRICS_SCHEMA:
-            raise ValueError(f"unsupported metrics schema {schema}")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name == "wall_seconds":
-                kwargs[f.name] = 0.0
-            elif f.name not in pairs:
-                kwargs[f.name] = None
-            elif f.name in cls._INTS:
-                kwargs[f.name] = int(pairs[f.name])
-            else:
-                kwargs[f.name] = float(pairs[f.name])
-        return cls(**kwargs)
-
 
 def metrics_path(out_dir: str) -> str:
     return os.path.join(out_dir, "metrics.txt")
@@ -574,7 +490,7 @@ def store_from_bytes(data: bytes, offset: int = 0) -> tuple[ParamStore, int]:
     return store, offset
 
 
-def _individual_to_record(ind: coevolution.Individual, blob: bytearray) -> dict:
+def _individual_to_record(ind: Individual, blob: bytearray) -> dict:
     record = {
         "id": ind.id,
         "genome": genome_to_record(ind.genome),
@@ -590,7 +506,7 @@ def _individual_to_record(ind: coevolution.Individual, blob: bytearray) -> dict:
     return record
 
 
-def _individual_from_record(record: dict, blob: bytes) -> coevolution.Individual:
+def _individual_from_record(record: dict, blob: bytes) -> Individual:
     store = None
     if record["params"] is not None:
         store, _ = store_from_bytes(blob, record["params"]["offset"])
@@ -598,7 +514,7 @@ def _individual_from_record(record: dict, blob: bytes) -> coevolution.Individual
     if record["fitness"] is not None:
         fitness = FitnessRecord(raw=record["fitness"]["raw"],
                                 orientation=record["fitness"]["orientation"])
-    return coevolution.Individual(
+    return Individual(
         id=int(record["id"]),
         genome=genome_from_record(record["genome"]),
         param_store=store,
@@ -611,7 +527,7 @@ def checkpoint_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "checkpoint")
 
 
-def write_checkpoint(state: coevolution.EvolutionState, config: RunConfig,
+def write_checkpoint(state: EvolutionState, config: RunConfig,
                      out_dir: str) -> str:
     """Persist everything needed to resume bit-exactly."""
     ckpt = checkpoint_dir(out_dir)
@@ -623,10 +539,10 @@ def write_checkpoint(state: coevolution.EvolutionState, config: RunConfig,
     }
     doc = {
         "version": CHECKPOINT_VERSION,
-        "config": config_to_dict(config),
+        "config": dataclasses.asdict(config),
         "generation": state.generation,
         "next_individual_id": state.next_individual_id,
-        "next_innovation_id": GLOBAL_INNOVATIONS.peek(),
+        "next_innovation_id": state.innovations.next,
         "prev_best": {"generator": state.prev_best_g, "discriminator": state.prev_best_d},
         "speciation": {
             "generator": dataclasses.asdict(state.speciation_g),
@@ -649,7 +565,7 @@ def write_checkpoint(state: coevolution.EvolutionState, config: RunConfig,
     return ckpt
 
 
-def read_checkpoint(ckpt: str) -> tuple[coevolution.EvolutionState, RunConfig]:
+def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     with open(os.path.join(ckpt, "state.json"), "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc["version"] != CHECKPOINT_VERSION:
@@ -669,14 +585,13 @@ def read_checkpoint(ckpt: str) -> tuple[coevolution.EvolutionState, RunConfig]:
     eval_noise = NoiseSource(config.noise_dim, generator_with_state(doc["noise"]["eval"]["rng"]))
     data_source = make_data_source(config, np.random.Generator(np.random.PCG64()))
     data_source.restore(doc["data"])
-    GLOBAL_INNOVATIONS.advance_to(int(doc["next_innovation_id"]))
 
     def speciation(record) -> SpeciationState:
         return SpeciationState(threshold=record["threshold"],
                                target_species=record["target_species"],
                                min_threshold=record["min_threshold"])
 
-    state = coevolution.EvolutionState(
+    state = EvolutionState(
         generation=int(doc["generation"]),
         generators=[_individual_from_record(r, blob)
                     for r in doc["populations"]["generators"]],
@@ -685,6 +600,7 @@ def read_checkpoint(ckpt: str) -> tuple[coevolution.EvolutionState, RunConfig]:
         speciation_g=speciation(doc["speciation"]["generator"]),
         speciation_d=speciation(doc["speciation"]["discriminator"]),
         next_individual_id=int(doc["next_individual_id"]),
+        innovations=InnovationCounter(int(doc["next_innovation_id"])),
         rng=rng,
         train_noise=train_noise,
         eval_noise=eval_noise,
@@ -708,13 +624,11 @@ def write_pgm(path: str, image: np.ndarray) -> None:
         fh.write(levels.tobytes())
 
 
-def dump_samples(individual: coevolution.Individual, n: int, out_dir: str,
+def dump_samples(individual: Individual, n: int, out_dir: str,
                  noise: NoiseSource | None = None, fmt: str = "pgm",
                  scale: float = 1.0) -> list[str]:
     """Write n generator samples: one P5 file each for images, or a single
     coordinate text file for 2-d points (multiplied back by `scale`)."""
-    from .gan import generate_samples
-
     if individual.network is None:
         raise ValueError("generator network is not built")
     os.makedirs(out_dir, exist_ok=True)
@@ -747,7 +661,7 @@ def prepare_run_dir(config: RunConfig) -> None:
     open(timings_path(config.out_dir), "w").close()
 
 
-def dump_final_samples(state: coevolution.EvolutionState, config: RunConfig,
+def dump_final_samples(state: EvolutionState, config: RunConfig,
                        n: int = 16) -> None:
     best = state.last_best_generator
     if best is None or best.network is None:
@@ -757,6 +671,84 @@ def dump_final_samples(state: coevolution.EvolutionState, config: RunConfig,
     dump_samples(best, n, os.path.join(config.out_dir, "samples"),
                  noise=NoiseSource(config.noise_dim, np.random.default_rng(config.seed)),
                  fmt=fmt, scale=scale)
+
+
+# -- runs -------------------------------------------------------------------------
+
+def init_state(config: RunConfig) -> EvolutionState:
+    """Fresh populations of minimal genomes plus the derived rng streams."""
+    children = np.random.SeedSequence(config.seed).spawn(len(RNG_STREAMS))
+    rng = {name: np.random.Generator(np.random.PCG64(seq))
+           for name, seq in zip(RNG_STREAMS, children)}
+    innovations = InnovationCounter()
+    roles = ([GENERATOR] * config.generator_population
+             + [DISCRIMINATOR] * config.discriminator_population)
+    population = [
+        Individual(id=i, genome=new_minimal_genome(role, rng["init"], innovations,
+                                                   feature_range=config.feature_range,
+                                                   max_len=config.genome_limit))
+        for i, role in enumerate(roles)
+    ]
+    return EvolutionState(
+        generation=0,
+        generators=population[:config.generator_population],
+        discriminators=population[config.generator_population:],
+        speciation_g=SpeciationState(target_species=config.species_target),
+        speciation_d=SpeciationState(target_species=config.species_target),
+        next_individual_id=len(population),
+        innovations=innovations,
+        rng=rng,
+        train_noise=NoiseSource(config.noise_dim, rng["noise_train"]),
+        eval_noise=NoiseSource(config.noise_dim, rng["noise_eval"]),
+        data_source=make_data_source(config, rng["data"]),
+        embedding=make_embedding(config.embedding),
+    )
+
+
+def _evolution_loop(state: EvolutionState, config: RunConfig,
+                    classifier=None) -> list[MetricsRecord]:
+    """Run generations until config.generations, persisting as we go.
+
+    Metrics lines append to the run directory and a resumable checkpoint is
+    rewritten after every generation, so a failed run keeps its history.
+    """
+    history = []
+    while state.generation < config.generations:
+        state, record = run_generation(state, config, classifier)
+        history.append(record)
+        append_metrics(config.out_dir, record)
+        write_checkpoint(state, config, config.out_dir)
+    return history
+
+
+def run_evolution(config: RunConfig,
+                  classifier=None) -> tuple[list[MetricsRecord], EvolutionState]:
+    """Full run from fresh minimal populations.
+
+    Persists the resolved config, the metrics stream, a checkpoint per
+    generation and a final grid of generator samples into config.out_dir.
+    """
+    prepare_run_dir(config)
+    state = init_state(config)
+    write_checkpoint(state, config, config.out_dir)
+    history = _evolution_loop(state, config, classifier)
+    dump_final_samples(state, config)
+    return history, state
+
+
+def resume_evolution(checkpoint_dir: str, generations: int | None = None,
+                     out_dir: str | None = None,
+                     classifier=None) -> tuple[list[MetricsRecord], EvolutionState]:
+    """Continue a checkpointed run; appends to the original metrics stream."""
+    state, config = read_checkpoint(checkpoint_dir)
+    if generations is not None:
+        config = replace_config(config, generations=generations)
+    if out_dir is not None:
+        config = replace_config(config, out_dir=out_dir)
+    os.makedirs(config.out_dir, exist_ok=True)
+    history = _evolution_loop(state, config, classifier)
+    dump_final_samples(state, config)
+    return history, state
 
 
 # -- plot-data export ----------------------------------------------------------
@@ -797,7 +789,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--generations", type=int)
     run_p.add_argument("--out-dir")
-    run_p.add_argument("--pairing", choices=coevolution.PAIRING_STRATEGIES)
+    run_p.add_argument("--pairing", choices=PAIRING_STRATEGIES)
     run_p.add_argument("--embedding", choices=EMBEDDINGS)
 
     resume_p = sub.add_parser("resume", help="continue from a checkpoint")
@@ -819,7 +811,7 @@ def main(argv=None) -> int:
         if args.out_dir is not None:
             overrides["out_dir"] = args.out_dir
         config = load_config(args.config, overrides)
-        history, _ = coevolution.run_evolution(config)
+        history, _ = run_evolution(config)
         if history:
             last = history[-1]
             print(f"run complete: {len(history)} generations, "
@@ -829,7 +821,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "resume":
-        history, _ = coevolution.resume_evolution(
+        history, _ = resume_evolution(
             args.checkpoint, generations=args.generations, out_dir=args.out_dir)
         print(f"resume complete: {len(history)} additional generations")
         return 0

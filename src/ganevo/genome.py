@@ -11,7 +11,6 @@ to the required network output.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 DISCRIMINATOR = "discriminator"
@@ -46,36 +45,20 @@ class InvalidGenomeError(ValueError):
     """Raised when a genome breaks a structural invariant."""
 
 
+@dataclass
 class InnovationCounter:
-    """Monotonic source of innovation ids.
+    """Monotonic source of innovation ids, owned by one run's state.
 
     Genes created by the same add event share an id; every new event gets a
-    fresh one.  Thread safe.  A process-wide default instance is used unless
-    callers supply their own (runs that need replayable id sequences pass an
-    explicit counter).
+    fresh one.
     """
 
-    def __init__(self, start: int = 0):
-        self._next = start
-        self._lock = threading.Lock()
+    next: int = 0
 
     def next_id(self) -> int:
-        with self._lock:
-            value = self._next
-            self._next += 1
-            return value
-
-    def peek(self) -> int:
-        with self._lock:
-            return self._next
-
-    def advance_to(self, value: int) -> None:
-        """Ensure future ids are >= value (used when loading checkpoints)."""
-        with self._lock:
-            self._next = max(self._next, value)
-
-
-GLOBAL_INNOVATIONS = InnovationCounter()
+        value = self.next
+        self.next += 1
+        return value
 
 
 @dataclass(frozen=True)
@@ -133,14 +116,13 @@ def section_boundary(genome: Genome) -> int:
 def new_minimal_genome(
     role: str,
     rng,
-    counter: InnovationCounter | None = None,
+    counter: InnovationCounter,
     feature_range: tuple[int, int] = DEFAULT_FEATURE_RANGE,
     max_len: int = DEFAULT_GENOME_LIMIT,
 ) -> Genome:
     """Starting genome for either role: a single random linear gene."""
     if role not in ROLES:
         raise ValueError(f"unknown role {role!r}")
-    counter = counter or GLOBAL_INNOVATIONS
     gene = Gene(
         innovation_id=counter.next_id(),
         kind=LINEAR,

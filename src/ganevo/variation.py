@@ -16,7 +16,6 @@ from .genome import (
     DEFAULT_CHANNEL_RANGE,
     DEFAULT_FEATURE_RANGE,
     DISCRIMINATOR,
-    GLOBAL_INNOVATIONS,
     LINEAR,
     Gene,
     Genome,
@@ -65,7 +64,6 @@ def goodness_key(record: FitnessRecord, individual_id: int) -> tuple:
 class Species:
     representative: Genome
     members: list[int]
-    mean_adjusted_fitness: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def mutate_with_events(
     genome: Genome,
     rates: MutationRates,
     rng,
-    counter: InnovationCounter | None = None,
+    counter: InnovationCounter,
     feature_range=DEFAULT_FEATURE_RANGE,
     channel_range=DEFAULT_CHANNEL_RANGE,
 ) -> tuple[Genome, dict[str, bool]]:
@@ -112,7 +110,6 @@ def mutate_with_events(
     A fired mutation that cannot apply (add at the length cap, remove at the
     single-gene floor) is skipped silently but still reported as fired.
     """
-    counter = counter or GLOBAL_INNOVATIONS
     events = {"add_layer": False, "remove_layer": False, "change_layer": False}
     genes = list(genome.genes)
 
@@ -153,14 +150,6 @@ def mutate_with_events(
         )
 
     return Genome(role=genome.role, genes=tuple(genes), max_len=genome.max_len), events
-
-
-def mutate(genome: Genome, rates: MutationRates, rng,
-           counter: InnovationCounter | None = None,
-           feature_range=DEFAULT_FEATURE_RANGE,
-           channel_range=DEFAULT_CHANNEL_RANGE) -> Genome:
-    child, _ = mutate_with_events(genome, rates, rng, counter, feature_range, channel_range)
-    return child
 
 
 def mutation_rate_statistics(rates: MutationRates, trials: int, rng,
@@ -238,8 +227,8 @@ def next_generation(
     fitness: dict[int, FitnessRecord],
     rates: MutationRates,
     rng,
+    counter: InnovationCounter,
     tournament_k: int = 2,
-    counter: InnovationCounter | None = None,
     feature_range=DEFAULT_FEATURE_RANGE,
     channel_range=DEFAULT_CHANNEL_RANGE,
 ) -> list[Offspring]:
@@ -255,10 +244,7 @@ def next_generation(
     ranks = population_ranks(list(genomes), fitness)
     mean_ranks = [sum(ranks[m] for m in sp.members) / len(sp.members) for sp in species]
     total = sum(mean_ranks)
-    shares = [m / total for m in mean_ranks]
-    for sp, share in zip(species, shares):
-        sp.mean_adjusted_fitness = share
-    quotas = largest_remainder(shares, n)
+    quotas = largest_remainder([m / total for m in mean_ranks], n)
 
     offspring: list[Offspring] = []
     for sp, quota in zip(species, quotas):
@@ -268,6 +254,7 @@ def next_generation(
         offspring.append(Offspring(genome=genomes[best], parent_id=best, elite=True))
         for _ in range(quota - 1):
             parent = tournament_select(sp.members, fitness, tournament_k, rng)
-            child = mutate(genomes[parent], rates, rng, counter, feature_range, channel_range)
+            child, _ = mutate_with_events(genomes[parent], rates, rng, counter,
+                                          feature_range, channel_range)
             offspring.append(Offspring(genome=child, parent_id=parent, elite=False))
     return offspring

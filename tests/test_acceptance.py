@@ -157,7 +157,7 @@ class TestCriterion4MutationStatistics:
             for name, fired in events.items():
                 counts[name] += fired
             # also walk a single lineage to exercise the length bounds
-            genome = V.mutate(genome, rates, rng, counter)
+            genome, _ = V.mutate_with_events(genome, rates, rng, counter)
             lengths_ok = lengths_ok and 1 <= len(genome.genes) <= 6
         freqs = {k: v / trials for k, v in counts.items()}
         ok = (abs(freqs["add_layer"] - 0.20) <= 0.02
@@ -251,8 +251,8 @@ class TestCriterion6WeightTransfer:
                 entry.m_w += np.float32(0.5)
                 entry.v_b += np.float32(0.25)
                 entry.step = 17
-            child = V.mutate(genome, rates, rng, counter,
-                             feature_range=(8, 24), channel_range=(4, 16))
+            child, _ = V.mutate_with_events(genome, rates, rng, counter,
+                                            feature_range=(8, 24), channel_range=(4, 16))
             child_plan = G.infer_shapes(child, (1, 8, 8), 8)
             child_net, child_store = B.build_network(child, child_plan,
                                                      parent_store=store, rng=rng)
@@ -287,7 +287,7 @@ class TestCriterion7BoutAccounting:
             batches_per_pair=20, batch_size=4, fid_samples=32, rmse_samples=32,
             noise_dim=8, feature_range=(8, 16), channel_range=(4, 8),
             pairing="all", seed=7, out_dir=str(tmp_path / "bouts")))
-        state = C.init_state(config)
+        state = E.init_state(config)
         pairs = C.make_pairs(config.pairing, state.generators,
                              state.discriminators, (None, None),
                              state.rng["pairing"])
@@ -335,7 +335,7 @@ def desk_runs(tmp_path_factory):
     start = time.perf_counter()
     for seed in DESK_SEEDS:
         config = desk_config(root / f"seed{seed}", seed)
-        history, state = C.run_evolution(config)
+        history, state = E.run_evolution(config)
         runs[seed] = {
             "config": config,
             "history": history,
@@ -385,7 +385,7 @@ class TestCriterion10DeterminismAndResume:
     def test_equal_seeds_bit_identical(self, desk_runs):
         rerun_dir = desk_runs["root"] / "rerun1"
         config = desk_config(rerun_dir, seed=1)
-        C.run_evolution(config)
+        E.run_evolution(config)
         rerun_metrics = open(E.metrics_path(config.out_dir)).read()
         identical = rerun_metrics == desk_runs[1]["metrics"]
         _report("10a", "two equal-seed runs produce bit-identical metrics",
@@ -394,8 +394,8 @@ class TestCriterion10DeterminismAndResume:
     def test_interrupt_and_resume_matches(self, desk_runs):
         half_dir = desk_runs["root"] / "half1"
         config = desk_config(half_dir, seed=1, generations=15)
-        C.run_evolution(config)
-        C.resume_evolution(str(half_dir / "checkpoint"), generations=30)
+        E.run_evolution(config)
+        E.resume_evolution(str(half_dir / "checkpoint"), generations=30)
         resumed_metrics = open(E.metrics_path(str(half_dir))).read()
         identical = resumed_metrics == desk_runs[1]["metrics"]
         _report("10b", "a run interrupted at generation 15 and resumed matches "

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ def tiny_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return E.load_config(overrides=base)
+
+
+def checkpoint_contents(run_dir):
+    """params.bin bytes and state.json with the run-specific out_dir left out."""
+    ckpt = run_dir / "checkpoint"
+    state = json.loads((ckpt / "state.json").read_text())
+    del state["config"]["out_dir"]
+    return (ckpt / "params.bin").read_bytes(), state
 
 
 class TestMakePairs:
@@ -77,7 +87,7 @@ class TestRunGeneration:
     def test_one_plus_one_population(self, tmp_path):
         config = tiny_config(tmp_path, generator_population=1,
                              discriminator_population=1, batches_per_pair=1)
-        state = C.init_state(config)
+        state = E.init_state(config)
         state, record = C.run_generation(state, config)
         assert len(state.generators) == 1
         assert len(state.discriminators) == 1
@@ -89,7 +99,7 @@ class TestRunGeneration:
     def test_population_sizes_constant(self, tmp_path):
         config = tiny_config(tmp_path, generator_population=4,
                              discriminator_population=3)
-        state = C.init_state(config)
+        state = E.init_state(config)
         for _ in range(2):
             state, record = C.run_generation(state, config)
             assert len(state.generators) == 4
@@ -98,7 +108,7 @@ class TestRunGeneration:
     def test_zero_mutation_rates_copy_genomes(self, tmp_path):
         config = tiny_config(tmp_path, add_layer_rate=0.0, remove_layer_rate=0.0,
                              change_layer_rate=0.0)
-        state = C.init_state(config)
+        state = E.init_state(config)
         parents_g = {i.genome for i in state.generators}
         parents_d = {i.genome for i in state.discriminators}
         state, _ = C.run_generation(state, config)
@@ -107,7 +117,7 @@ class TestRunGeneration:
 
     def test_bout_accounting_three_by_three(self, tmp_path):
         config = tiny_config(tmp_path, batches_per_pair=4)
-        state = C.init_state(config)
+        state = E.init_state(config)
         state, _ = C.run_generation(state, config)
         # all-vs-all: every individual participates in 3 bouts of 4 batches
         trained = state.last_best_generator
@@ -116,7 +126,7 @@ class TestRunGeneration:
     def test_gene_reuse_counts_with_frozen_genomes(self, tmp_path):
         config = tiny_config(tmp_path, add_layer_rate=0.0, remove_layer_rate=0.0,
                              change_layer_rate=0.0, generations=3)
-        history, _ = C.run_evolution(config)
+        history, _ = E.run_evolution(config)
         assert history[0].g_mean_gene_reuse == pytest.approx(0.0)
         assert history[1].g_mean_gene_reuse == pytest.approx(1.0)
         assert history[2].g_mean_gene_reuse == pytest.approx(2.0)
@@ -124,7 +134,7 @@ class TestRunGeneration:
 
     def test_classifier_score_recorded_when_supplied(self, tmp_path):
         config = tiny_config(tmp_path, generations=1)
-        state = C.init_state(config)
+        state = E.init_state(config)
 
         def classifier(batch):
             return np.tile([0.5, 0.5], (len(batch), 1))
@@ -136,48 +146,52 @@ class TestRunGeneration:
 class TestRunEvolution:
     def test_zero_generations(self, tmp_path):
         config = tiny_config(tmp_path, generations=0)
-        history, state = C.run_evolution(config)
+        history, state = E.run_evolution(config)
         assert history == []
         assert (tmp_path / "run" / "checkpoint" / "state.json").exists()
         assert (tmp_path / "run" / "metrics.txt").read_text() == ""
 
     def test_history_length_matches_generations(self, tmp_path):
         config = tiny_config(tmp_path, generations=3)
-        history, _ = C.run_evolution(config)
+        history, _ = E.run_evolution(config)
         assert [r.generation for r in history] == [0, 1, 2]
         assert len(E.read_metrics(config.out_dir)) == 3
 
     def test_fixed_seed_reproducible(self, tmp_path):
         config_a = tiny_config(tmp_path / "a")
         config_b = tiny_config(tmp_path / "b")
-        history_a, _ = C.run_evolution(config_a)
-        history_b, _ = C.run_evolution(config_b)
+        history_a, _ = E.run_evolution(config_a)
+        history_b, _ = E.run_evolution(config_b)
         lines_a = (tmp_path / "a" / "run" / "metrics.txt").read_text()
         lines_b = (tmp_path / "b" / "run" / "metrics.txt").read_text()
         assert lines_a == lines_b
         assert [r.best_fid for r in history_a] == [r.best_fid for r in history_b]
+        assert checkpoint_contents(tmp_path / "a" / "run") == \
+            checkpoint_contents(tmp_path / "b" / "run")
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         config_full = tiny_config(tmp_path / "full", generations=4)
-        C.run_evolution(config_full)
+        E.run_evolution(config_full)
         config_half = tiny_config(tmp_path / "half", generations=2)
-        C.run_evolution(config_half)
-        C.resume_evolution(str(tmp_path / "half" / "run" / "checkpoint"),
+        E.run_evolution(config_half)
+        E.resume_evolution(str(tmp_path / "half" / "run" / "checkpoint"),
                            generations=4)
         full = (tmp_path / "full" / "run" / "metrics.txt").read_text()
         half = (tmp_path / "half" / "run" / "metrics.txt").read_text()
         assert full == half
+        assert checkpoint_contents(tmp_path / "full" / "run") == \
+            checkpoint_contents(tmp_path / "half" / "run")
 
     def test_samples_dumped_for_ring_dataset(self, tmp_path):
         config = tiny_config(tmp_path, generations=1)
-        C.run_evolution(config)
+        E.run_evolution(config)
         assert (tmp_path / "run" / "samples" / "samples.txt").exists()
 
     def test_resume_into_relocated_directory(self, tmp_path):
         config = tiny_config(tmp_path, generations=2)
-        C.run_evolution(config)
+        E.run_evolution(config)
         moved = tmp_path / "elsewhere"
-        history, _ = C.resume_evolution(str(tmp_path / "run" / "checkpoint"),
+        history, _ = E.resume_evolution(str(tmp_path / "run" / "checkpoint"),
                                         generations=4, out_dir=str(moved))
         assert [r.generation for r in history] == [2, 3]
         assert len(E.read_metrics(str(moved))) == 2
@@ -185,7 +199,7 @@ class TestRunEvolution:
     def test_offspring_genomes_always_validate(self, tmp_path):
         config = tiny_config(tmp_path, generations=4, add_layer_rate=0.6,
                              remove_layer_rate=0.3, change_layer_rate=0.5)
-        _, state = C.run_evolution(config)
+        _, state = E.run_evolution(config)
         for ind in state.generators + state.discriminators:
             assert G.validate(ind.genome, feature_range=config.feature_range,
                               channel_range=config.channel_range) == []

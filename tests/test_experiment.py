@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import struct
 
@@ -58,6 +60,16 @@ class TestConfigLoading:
         with pytest.raises(E.ConfigError, match="add_layer_rate"):
             E.load_config(overrides={"add_layer_rate": 1.5})
 
+    @pytest.mark.parametrize("key", ["learning_rate", "ring_radius", "ring_sigma"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_key(self, tmp_path, key, raw):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {raw}\n")
+        with pytest.raises(E.ConfigError, match=key):
+            E.load_config(str(path))
+        with pytest.raises(E.ConfigError, match=key):
+            E.load_config(overrides={key: float(raw)})
+
     def test_bad_counts_rejected(self):
         with pytest.raises(E.ConfigError, match="batch_size"):
             E.load_config(overrides={"batch_size": 0})
@@ -74,7 +86,8 @@ class TestConfigLoading:
 
     def test_dict_round_trip(self):
         cfg = E.load_config(overrides={"seed": 77})
-        assert E.config_from_dict(E.config_to_dict(cfg)) == cfg
+        record = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert E.config_from_dict(record) == cfg
 
 
 def write_idx_images(path, images):
@@ -127,6 +140,15 @@ class TestIdxParsing:
         with pytest.raises(E.IdxFormatError, match="truncated"):
             E.load_idx_dataset(str(path))
 
+    @pytest.mark.parametrize("count,rows,cols,offset", [
+        (0, 28, 28, 4), (3, 0, 28, 8), (3, 28, 0, 12)])
+    def test_zero_dimension_reports_offset(self, tmp_path, count, rows, cols, offset):
+        path = tmp_path / "empty"
+        with open(path, "wb") as fh:
+            fh.write(struct.pack(">IIII", E.IDX_IMAGES_MAGIC, count, rows, cols))
+        with pytest.raises(E.IdxFormatError, match=f"byte offset {offset}"):
+            E.load_idx_dataset(str(path))
+
     def test_labels_parsed(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
         labels = np.array([7, 1, 2], dtype=np.uint8)
@@ -162,19 +184,19 @@ class TestIdxParsing:
 
 class TestRing2d:
     def test_single_mode_no_noise(self):
-        source = E.ring2d_dataset(1, 2.0, 0.0, np.random.default_rng(0))
+        source = E.Ring2dSource(1, 2.0, 0.0, np.random.default_rng(0))
         batch = source.next_batch(10).reshape(10, 2)
         assert np.allclose(batch, [2.0, 0.0])
 
     def test_eight_modes_no_noise_distinct_values(self):
-        source = E.ring2d_dataset(8, 2.0, 0.0, np.random.default_rng(0))
+        source = E.Ring2dSource(8, 2.0, 0.0, np.random.default_rng(0))
         batch = source.next_batch(400).reshape(400, 2)
         distinct = {tuple(row) for row in np.round(batch, 6)}
         assert len(distinct) == 8
 
     def test_mode_counts_multinomial(self):
         n = 10_000
-        source = E.ring2d_dataset(8, 2.0, 0.05, np.random.default_rng(3))
+        source = E.Ring2dSource(8, 2.0, 0.05, np.random.default_rng(3))
         batch = source.next_batch(n).reshape(n, 2)
         centers = E.ring_mode_centers(8, 2.0)
         dists = np.linalg.norm(batch[:, None, :] - centers[None, :, :], axis=2)
@@ -183,7 +205,7 @@ class TestRing2d:
         assert np.all(np.abs(counts - n / 8) <= 3 * sigma)
 
     def test_state_restore(self):
-        source = E.ring2d_dataset(4, 1.0, 0.1, np.random.default_rng(5))
+        source = E.Ring2dSource(4, 1.0, 0.1, np.random.default_rng(5))
         source.next_batch(3)
         saved = source.state()
         expected = source.next_batch(4)
@@ -191,7 +213,7 @@ class TestRing2d:
         assert np.array_equal(source.next_batch(4), expected)
 
     def test_scaled_source_divides(self):
-        inner = E.ring2d_dataset(1, 2.0, 0.0, np.random.default_rng(0))
+        inner = E.Ring2dSource(1, 2.0, 0.0, np.random.default_rng(0))
         scaled = E.ScaledSource(inner, 2.2)
         batch = scaled.next_batch(4).reshape(4, 2)
         assert np.allclose(batch, [2.0 / 2.2, 0.0])

@@ -24,25 +24,25 @@ class TestMutate:
     def test_forced_add_grows_and_gets_fresh_id(self, rng):
         counter = G.InnovationCounter(100)
         base = linear_genome(G.DISCRIMINATOR, [0])
-        child = V.mutate(base, forced(add=1.0), rng, counter)
+        child, _ = V.mutate_with_events(base, forced(add=1.0), rng, counter)
         assert len(child.genes) == 2
         new_ids = set(ids_of(child)) - {0}
         assert new_ids == {100}
 
     def test_add_blocked_at_genome_limit(self, rng):
         base = linear_genome(G.DISCRIMINATOR, list(range(6)))
-        child = V.mutate(base, forced(add=1.0), rng, G.InnovationCounter(100))
+        child, _ = V.mutate_with_events(base, forced(add=1.0), rng, G.InnovationCounter(100))
         assert len(child.genes) == 6
         assert child == base
 
     def test_remove_blocked_at_single_gene(self, rng):
         base = linear_genome(G.GENERATOR, [7])
-        child = V.mutate(base, forced(remove=1.0), rng)
+        child, _ = V.mutate_with_events(base, forced(remove=1.0), rng, G.InnovationCounter(100))
         assert child == base
 
     def test_remove_shrinks(self, rng):
         base = linear_genome(G.DISCRIMINATOR, [0, 1, 2])
-        child = V.mutate(base, forced(remove=1.0), rng)
+        child, _ = V.mutate_with_events(base, forced(remove=1.0), rng, G.InnovationCounter(100))
         assert len(child.genes) == 2
         assert set(ids_of(child)) < {0, 1, 2}
 
@@ -51,7 +51,7 @@ class TestMutate:
             (0, G.LINEAR, 64, "relu"),
             (1, G.TRANSPOSE_CONV, 32, "sigmoid"),
         ])
-        child = V.mutate(base, forced(change=1.0), rng)
+        child, _ = V.mutate_with_events(base, forced(change=1.0), rng, G.InnovationCounter(100))
         assert ids_of(child) == ids_of(base)
         assert [g.kind for g in child.genes] == [g.kind for g in base.genes]
         for gene in child.genes:
@@ -60,7 +60,7 @@ class TestMutate:
 
     def test_no_rates_no_change(self, rng):
         base = linear_genome(G.DISCRIMINATOR, [0, 1])
-        assert V.mutate(base, forced(), rng) == base
+        assert V.mutate_with_events(base, forced(), rng, G.InnovationCounter(100))[0] == base
 
     @pytest.mark.parametrize("role", [G.DISCRIMINATOR, G.GENERATOR])
     def test_mutation_chains_always_validate(self, role, rng):
@@ -69,7 +69,7 @@ class TestMutate:
         for _ in range(60):
             genome = G.new_minimal_genome(role, rng, counter)
             for _ in range(10):
-                genome = V.mutate(genome, rates, rng, counter)
+                genome, _ = V.mutate_with_events(genome, rates, rng, counter)
                 assert G.validate(genome, feature_range=(32, 1024),
                                   channel_range=(16, 128)) == []
                 assert 1 <= len(genome.genes) <= 6
@@ -81,7 +81,7 @@ class TestMutate:
             (1, G.LINEAR, 64, "relu"),
         ])
         for _ in range(40):
-            child = V.mutate(base, forced(add=1.0), rng, counter)
+            child, _ = V.mutate_with_events(base, forced(add=1.0), rng, counter)
             assert G.validate(child) == []
 
 
@@ -159,7 +159,7 @@ class TestSpeciate:
         for _ in range(12):
             g = G.new_minimal_genome(G.DISCRIMINATOR, rng, counter)
             for _ in range(int(rng.integers(0, 4))):
-                g = V.mutate(g, V.MutationRates(0.8, 0.1, 0.1), rng, counter)
+                g, _ = V.mutate_with_events(g, V.MutationRates(0.8, 0.1, 0.1), rng, counter)
             genomes.append(g)
         inds = [FakeIndividual(i, g) for i, g in enumerate(genomes)]
         state = V.SpeciationState(threshold=3.0)
@@ -266,7 +266,8 @@ class TestNextGeneration:
     def test_single_individual_elite_copy(self, rng):
         inds, fitness = self._population([[0]], [1.0])
         species = [V.Species(representative=inds[0].genome, members=[0])]
-        offspring = V.next_generation(inds, species, fitness, forced(add=1.0), rng)
+        offspring = V.next_generation(inds, species, fitness, forced(add=1.0), rng,
+                                      G.InnovationCounter(100))
         assert len(offspring) == 1
         assert offspring[0].elite
         assert offspring[0].genome == inds[0].genome
@@ -282,7 +283,8 @@ class TestNextGeneration:
             V.Species(representative=inds[0].genome, members=[0, 1, 2, 3, 4]),
             V.Species(representative=inds[5].genome, members=[5, 6, 7, 8, 9]),
         ]
-        offspring = V.next_generation(inds, species, fitness, forced(), rng)
+        offspring = V.next_generation(inds, species, fitness, forced(), rng,
+                                      G.InnovationCounter(100))
         assert len(offspring) == 10
         first = sum(1 for o in offspring if o.parent_id < 5)
         assert first == 5
