@@ -5,14 +5,17 @@ forward and backward passes (convolutions via im2col, so gradients are exact
 and checkable against finite differences), Adam updates, and parameter
 transfer between generations.
 
-Trained state lives in a ParamStore keyed by (innovation id, shape signature).
-Building a network against a parent store copies every entry whose key is
-unchanged, which is the mechanism that carries training information across
-generations; shape-changing mutations miss the lookup and re-initialize.
+Trained state lives in a ParamStore, one array per network, keyed by
+(innovation id, shape signature).  Building a network against a parent store
+copies every entry whose key is unchanged, which is the mechanism that
+carries training information across generations; shape-changing mutations
+miss the lookup and re-initialize.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,50 +38,31 @@ class AdamConfig:
     epsilon: float = 1e-8
 
 
-@dataclass
 class ParamEntry:
-    """Weights, bias and Adam moments for one trainable layer."""
+    """One trainable layer's views into columns `span` of its ParamStore's
+    buffer: weights and bias, their Adam moments (m_*, v_*) and gradients
+    (grad_*), plus the entry's own Adam step count."""
 
-    weights: np.ndarray
-    bias: np.ndarray
-    m_w: np.ndarray
-    v_w: np.ndarray
-    m_b: np.ndarray
-    v_b: np.ndarray
-    step: int = 0
-
-    def clone(self) -> "ParamEntry":
-        return ParamEntry(
-            weights=self.weights.copy(),
-            bias=self.bias.copy(),
-            m_w=self.m_w.copy(),
-            v_w=self.v_w.copy(),
-            m_b=self.m_b.copy(),
-            v_b=self.v_b.copy(),
-            step=self.step,
-        )
-
-
-def fresh_entry(weight_shape, bias_shape, fan_in, rng, dtype=np.float32) -> ParamEntry:
-    """Uniform(-a, a) weights with a = sqrt(1/fan_in), zero bias."""
-    a = float(np.sqrt(1.0 / fan_in))
-    w = rng.uniform(-a, a, size=weight_shape).astype(dtype)
-    b = np.zeros(bias_shape, dtype=dtype)
-    return ParamEntry(
-        weights=w,
-        bias=b,
-        m_w=np.zeros_like(w),
-        v_w=np.zeros_like(w),
-        m_b=np.zeros_like(b),
-        v_b=np.zeros_like(b),
-    )
+    def __init__(self, data: np.ndarray, start: int, weight_shape, bias_shape):
+        mid = start + math.prod(weight_shape)
+        self.span = slice(start, mid + math.prod(bias_shape))
+        self.weights, self.m_w, self.v_w, self.grad_w = (
+            row[start:mid].reshape(weight_shape) for row in data)
+        self.bias, self.m_b, self.v_b, self.grad_b = (
+            row[mid:self.span.stop].reshape(bias_shape) for row in data)
+        self.step = 0
 
 
 class ParamStore:
-    """Map from (innovation id, shape signature) to a ParamEntry."""
+    """A network's trained state in one (4, n) array whose rows hold the
+    parameters, Adam's first and second moments, and the gradients; `entries`
+    maps (innovation id, shape signature) to each layer's views into it."""
 
-    def __init__(self):
-        self.entries: dict[tuple, ParamEntry] = {}
+    def __init__(self, keys, dtype=np.float32):
+        sizes = [math.prod(w) + math.prod(b) for _, (w, b) in keys]
+        self.data = np.zeros((4, sum(sizes)), dtype=dtype)
+        self.entries = {key: ParamEntry(self.data, start, *key[1])
+                        for key, start in zip(keys, itertools.accumulate(sizes, initial=0))}
 
     @staticmethod
     def key(gene_id: int, weight_shape, bias_shape) -> tuple:
@@ -87,35 +71,22 @@ class ParamStore:
     def get(self, key):
         return self.entries.get(key)
 
-    def put(self, key, entry: ParamEntry) -> None:
-        self.entries[key] = entry
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def adam_step(entry: ParamEntry, grad_w: np.ndarray, grad_b: np.ndarray,
-              config: AdamConfig) -> None:
-    """One Adam update with bias correction, in place."""
-    if grad_w.shape != entry.weights.shape or grad_b.shape != entry.bias.shape:
-        raise ValueError(
-            f"gradient shapes {grad_w.shape}/{grad_b.shape} do not match "
-            f"parameters {entry.weights.shape}/{entry.bias.shape}"
-        )
-    entry.step += 1
-    t = entry.step
+def adam_step(store: ParamStore, config: AdamConfig) -> None:
+    """One Adam update of every entry, in place: both moment rows in one pass
+    over the buffer, then each entry's bias-corrected update with its own step
+    count, since inherited and fresh entries of one network differ in it."""
     b1, b2 = config.beta1, config.beta2
-    for p, m, v, g in (
-        (entry.weights, entry.m_w, entry.v_w, grad_w),
-        (entry.bias, entry.m_b, entry.v_b, grad_b),
-    ):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    params, m, v, g = store.data
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    for entry in store.entries.values():
+        entry.step += 1
+        m_hat = m[entry.span] / (1.0 - b1 ** entry.step)
+        v_hat = v[entry.span] / (1.0 - b2 ** entry.step)
+        params[entry.span] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
 
 # -- convolution plumbing -------------------------------------------------
@@ -157,8 +128,7 @@ class LinearLayer:
     def __init__(self, entry: ParamEntry, in_shape: tuple[int, ...]):
         self.entry = entry
         self.in_shape = tuple(in_shape)
-        self.grad_w = np.zeros_like(entry.weights)
-        self.grad_b = np.zeros_like(entry.bias)
+        self.grad_w, self.grad_b = entry.grad_w, entry.grad_b
         self._x = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
@@ -182,8 +152,7 @@ class ConvLayer:
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self.grad_w = np.zeros_like(entry.weights)
-        self.grad_b = np.zeros_like(entry.bias)
+        self.grad_w, self.grad_b = entry.grad_w, entry.grad_b
         self._cols = None
         self._x_shape = None
 
@@ -223,8 +192,7 @@ class ConvTransposeLayer:
         self.kernel = kernel
         self.stride = stride
         self.padding = padding
-        self.grad_w = np.zeros_like(entry.weights)
-        self.grad_b = np.zeros_like(entry.bias)
+        self.grad_w, self.grad_b = entry.grad_w, entry.grad_b
         self._x_mat = None
         self._x_hw = None
 
@@ -392,6 +360,7 @@ class NetworkInstance:
     input_shape: tuple[int, ...]
     output_shape: tuple[int, ...]
     dtype: np.dtype
+    store: ParamStore
     copied_gene_ids: frozenset[int] = field(default_factory=frozenset)
     _has_cache: bool = False
 
@@ -420,13 +389,7 @@ class NetworkInstance:
         return [op for op in self.ops if hasattr(op, "entry")]
 
     def zero_grads(self) -> None:
-        for layer in self.trainable():
-            layer.grad_w[...] = 0
-            layer.grad_b[...] = 0
-
-    def adam_step_all(self, config: AdamConfig) -> None:
-        for layer in self.trainable():
-            adam_step(layer.entry, layer.grad_w, layer.grad_b, config)
+        self.store.data[3].fill(0)
 
 
 def build_network(
@@ -438,9 +401,10 @@ def build_network(
 ) -> tuple[NetworkInstance, ParamStore]:
     """Materialize a network, inheriting parameters where keys match.
 
-    An entry is copied verbatim (weights, bias and Adam state) when the parent
-    store holds the same (innovation id, shape signature); everything else is
-    freshly initialized from `rng`.
+    An entry is copied verbatim (weights, bias, Adam moments and step) when
+    the parent store holds the same (innovation id, shape signature);
+    everything else gets Uniform(-a, a) weights with a = sqrt(1/fan_in) from
+    `rng` and zero bias.
     """
     plan_ids = [lp.gene_id for lp in plan.layers]
     genome_ids = [g.innovation_id for g in genome.genes]
@@ -448,24 +412,26 @@ def build_network(
         raise ValueError("shape plan does not match genome gene sequence")
     if rng is None:
         rng = np.random.default_rng(0)
-    store = ParamStore()
+    ad = plan.adapter
+    shapes = [(lp.gene_id, lp.weight_shape, lp.bias_shape, lp.fan_in) for lp in plan.layers]
+    shapes.append((ADAPTER_ID, ad.weight_shape, ad.bias_shape, ad.fan_in))
+    keys = [ParamStore.key(gene_id, w, b) for gene_id, w, b, _ in shapes]
+    store = ParamStore(keys, dtype)
+    entries = [store.entries[key] for key in keys]
     copied: set[int] = set()
-
-    def obtain(gene_id, weight_shape, bias_shape, fan_in) -> ParamEntry:
-        key = ParamStore.key(gene_id, weight_shape, bias_shape)
+    for key, entry, (gene_id, weight_shape, _, fan_in) in zip(keys, entries, shapes):
         parent = parent_store.get(key) if parent_store is not None else None
         if parent is not None:
-            entry = parent.clone()
+            store.data[:3, entry.span] = parent_store.data[:3, parent.span]
+            entry.step = parent.step
             if gene_id >= 0:
                 copied.add(gene_id)
         else:
-            entry = fresh_entry(weight_shape, bias_shape, fan_in, rng, dtype)
-        store.put(key, entry)
-        return entry
+            a = float(np.sqrt(1.0 / fan_in))
+            entry.weights[...] = rng.uniform(-a, a, size=weight_shape)
 
     ops: list = []
-    for lp in plan.layers:
-        entry = obtain(lp.gene_id, lp.weight_shape, lp.bias_shape, lp.fan_in)
+    for lp, entry in zip(plan.layers, entries):
         if lp.kind == LINEAR:
             ops.append(LinearLayer(entry, lp.in_shape))
         elif lp.kind == CONV:
@@ -478,12 +444,10 @@ def build_network(
             raise ValueError(f"unknown layer kind {lp.kind!r}")
         ops.append(ActivationOp(lp.activation))
 
-    ad = plan.adapter
-    entry = obtain(ADAPTER_ID, ad.weight_shape, ad.bias_shape, ad.fan_in)
     if ad.kind == "linear":
-        ops.append(LinearLayer(entry, ad.in_shape))
+        ops.append(LinearLayer(entries[-1], ad.in_shape))
     else:
-        ops.append(ConvLayer(entry, kernel=1, stride=1, padding=0))
+        ops.append(ConvLayer(entries[-1], kernel=1, stride=1, padding=0))
     if ad.post == "sigmoid":
         ops.append(SigmoidHead())
         ops.append(SqueezeOp())
@@ -500,6 +464,7 @@ def build_network(
         input_shape=plan.input_shape,
         output_shape=plan.output_shape,
         dtype=np.dtype(dtype),
+        store=store,
         copied_gene_ids=frozenset(copied),
     )
     return net, store

@@ -15,12 +15,12 @@ import dataclasses
 import json
 import math
 import os
-import struct
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import ParamEntry, ParamStore
+from .backend import ParamStore
 from .coevolution import (
     PAIRING_STRATEGIES,
     RNG_STREAMS,
@@ -52,11 +52,15 @@ IDX_LABELS_MAGIC = 0x00000801
 # real samples fit the generator's tanh output range
 RING_SCALE_MARGIN = 1.1
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
     """Configuration problem; the message names the offending key."""
+
+
+class CheckpointError(ValueError):
+    """Unsupported or malformed checkpoint; the message names the file."""
 
 
 class IdxFormatError(ValueError):
@@ -420,11 +424,20 @@ def append_metrics(out_dir: str, record: MetricsRecord) -> None:
         fh.write(f"generation={record.generation} wall_seconds={record.wall_seconds!r}\n")
 
 
-def persist_metrics(records, out_dir: str) -> None:
-    """Write the whole record stream, replacing any existing metrics file."""
-    with open(metrics_path(out_dir), "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record.to_line() + "\n")
+def _truncate_stream(path: str, generation: int) -> None:
+    """Drop a per-generation stream's lines from `generation` on: a line is
+    appended before its generation's checkpoint is written."""
+    if not os.path.exists(path):
+        return
+    keep = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):  # torn by a kill mid-append
+                break
+            if int(line.split(b"generation=")[1].split()[0]) >= generation:
+                break
+            keep += len(line)
+    os.truncate(path, keep)
 
 
 def read_metrics(out_dir: str) -> list[MetricsRecord]:
@@ -439,88 +452,58 @@ def read_metrics(out_dir: str) -> list[MetricsRecord]:
 
 # -- checkpoints -------------------------------------------------------------
 
-def store_to_bytes(store: ParamStore) -> bytes:
-    """Per entry: id, shape signature, step, then raw little-endian float32
-    weights/bias and Adam moments."""
-    out = bytearray()
-    out += struct.pack("<I", len(store.entries))
-    for (gene_id, (w_shape, b_shape)), entry in store.entries.items():
-        out += struct.pack("<q", int(gene_id))
-        out += struct.pack("<B", len(w_shape))
-        out += struct.pack(f"<{len(w_shape)}I", *w_shape)
-        out += struct.pack("<B", len(b_shape))
-        out += struct.pack(f"<{len(b_shape)}I", *b_shape)
-        out += struct.pack("<Q", entry.step)
-        for arr in (entry.weights, entry.bias, entry.m_w, entry.v_w,
-                    entry.m_b, entry.v_b):
-            out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return bytes(out)
-
-
-def store_from_bytes(data: bytes, offset: int = 0) -> tuple[ParamStore, int]:
-    """Inverse of store_to_bytes; returns the store and the end offset."""
-    store = ParamStore()
-    (n_entries,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-
-    def read_shape(off):
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        dims = struct.unpack_from(f"<{ndim}I", data, off)
-        return tuple(int(d) for d in dims), off + 4 * ndim
-
-    for _ in range(n_entries):
-        (gene_id,) = struct.unpack_from("<q", data, offset)
-        offset += 8
-        w_shape, offset = read_shape(offset)
-        b_shape, offset = read_shape(offset)
-        (step,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-        arrays = []
-        for shape in (w_shape, b_shape, w_shape, w_shape, b_shape, b_shape):
-            count = 1
-            for s in shape:
-                count *= s
-            arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-            arrays.append(arr.reshape(shape).astype(np.float32))
-            offset += 4 * count
-        entry = ParamEntry(weights=arrays[0], bias=arrays[1], m_w=arrays[2],
-                           v_w=arrays[3], m_b=arrays[4], v_b=arrays[5], step=int(step))
-        store.put(ParamStore.key(gene_id, w_shape, b_shape), entry)
-    return store, offset
-
-
-def _individual_to_record(ind: Individual, blob: bytearray) -> dict:
-    record = {
+def _individual_to_record(ind: Individual, fh) -> dict:
+    """The individual's JSON record; its store's parameter and moment rows go
+    to `fh` as little-endian float32."""
+    params = None
+    store = ind.param_store
+    if store is not None:
+        params = {"offset": fh.tell(),
+                  "layout": [[gene_id, list(w), list(b), entry.step]
+                             for (gene_id, (w, b)), entry in store.entries.items()]}
+        fh.write(store.data[:3].astype("<f4", copy=False))
+    return {
         "id": ind.id,
         "genome": genome_to_record(ind.genome),
         "gene_reuse": {str(k): v for k, v in ind.gene_reuse.items()},
         "fitness": None if ind.fitness is None else
             {"raw": ind.fitness.raw, "orientation": ind.fitness.orientation},
-        "params": None,
+        "params": params,
     }
-    if ind.param_store is not None:
-        data = store_to_bytes(ind.param_store)
-        record["params"] = {"offset": len(blob), "length": len(data)}
-        blob += data
-    return record
 
 
-def _individual_from_record(record: dict, blob: bytes) -> Individual:
+def _individual_from_record(record: dict, blob: bytes, offset: int,
+                            path: str) -> tuple[Individual, int]:
+    """The individual, its store rebuilt from the layout and the rows at
+    `offset` in `blob`; returns the offset where its rows end."""
     store = None
-    if record["params"] is not None:
-        store, _ = store_from_bytes(blob, record["params"]["offset"])
-    fitness = None
-    if record["fitness"] is not None:
-        fitness = FitnessRecord(raw=record["fitness"]["raw"],
-                                orientation=record["fitness"]["orientation"])
+    params = record["params"]
+    if params is not None:
+        for item in params["layout"]:
+            # [gene id, shape, shape, step], all ints, dimensions > 0 and step >= 0
+            if not (isinstance(item, list) and len(item) == 4
+                    and all(isinstance(shape, list) for shape in item[1:3])
+                    and all(type(n) is int for n in [item[0], item[3], *item[1], *item[2]])
+                    and min(item[1] + item[2] + [1]) > 0 and item[3] >= 0):
+                raise CheckpointError(f"{path}: malformed layout record {item!r}")
+        keys = [ParamStore.key(*item[:3]) for item in params["layout"]]
+        size = sum(math.prod(w) + math.prod(b) for _, (w, b) in keys)
+        if (len(set(keys)) < len(keys) or type(params["offset"]) is not int
+                or params["offset"] != offset or offset + 12 * size > len(blob)):
+            raise CheckpointError(f"{path}: layout at offset {params['offset']!r} does "
+                                  f"not match the file's {len(blob)} bytes")
+        store = ParamStore(keys)
+        store.data[:3] = np.frombuffer(blob, "<f4", 3 * size, offset).reshape(3, size)
+        for entry, item in zip(store.entries.values(), params["layout"]):
+            entry.step = item[3]
+        offset += 12 * size
     return Individual(
         id=int(record["id"]),
         genome=genome_from_record(record["genome"]),
         param_store=store,
-        fitness=fitness,
+        fitness=None if record["fitness"] is None else FitnessRecord(**record["fitness"]),
         gene_reuse={int(k): int(v) for k, v in record["gene_reuse"].items()},
-    )
+    ), offset
 
 
 def checkpoint_dir(out_dir: str) -> str:
@@ -529,14 +512,16 @@ def checkpoint_dir(out_dir: str) -> str:
 
 def write_checkpoint(state: EvolutionState, config: RunConfig,
                      out_dir: str) -> str:
-    """Persist everything needed to resume bit-exactly."""
+    """Persist everything needed to resume bit-exactly.  The params file is
+    named by generation and state.json, which names it, is replaced after it,
+    so a kill at any step leaves a state.json whose params file is whole."""
     ckpt = checkpoint_dir(out_dir)
     os.makedirs(ckpt, exist_ok=True)
-    blob = bytearray()
-    populations = {
-        "generators": [_individual_to_record(i, blob) for i in state.generators],
-        "discriminators": [_individual_to_record(i, blob) for i in state.discriminators],
-    }
+    params_name = f"params-{state.generation}.bin"
+    with open(os.path.join(ckpt, params_name), "wb") as fh:
+        populations = {name: [_individual_to_record(i, fh) for i in getattr(state, name)]
+                       for name in ("generators", "discriminators")}
+        params_length = fh.tell()
     doc = {
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(config),
@@ -552,26 +537,43 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
                 for name in ("init", "variation", "pairing")},
         "noise": {"train": state.train_noise.state(), "eval": state.eval_noise.state()},
         "data": state.data_source.state(),
+        "params_file": {"name": params_name, "length": params_length},
         "populations": populations,
     }
-    params_file = os.path.join(ckpt, "params.bin")
     state_file = os.path.join(ckpt, "state.json")
-    with open(params_file + ".tmp", "wb") as fh:
-        fh.write(bytes(blob))
-    os.replace(params_file + ".tmp", params_file)
     with open(state_file + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
     os.replace(state_file + ".tmp", state_file)
+    for name in os.listdir(ckpt):
+        if name.startswith("params") and name != params_name:
+            os.remove(os.path.join(ckpt, name))
     return ckpt
 
 
 def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
-    with open(os.path.join(ckpt, "state.json"), "r", encoding="utf-8") as fh:
+    """Inverse of write_checkpoint; raises CheckpointError, naming the file,
+    on an unsupported version or a params file that does not match its
+    layouts."""
+    state_file = os.path.join(ckpt, "state.json")
+    with open(state_file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc['version']}")
-    with open(os.path.join(ckpt, "params.bin"), "rb") as fh:
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{state_file}: unsupported checkpoint version "
+                              f"{doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
+    params_file = os.path.join(ckpt, doc["params_file"]["name"])
+    if not os.path.exists(params_file):
+        raise CheckpointError(f"{params_file}: params file missing")
+    with open(params_file, "rb") as fh:
         blob = fh.read()
+    populations = {"generators": [], "discriminators": []}
+    offset = 0
+    for name, individuals in populations.items():
+        for record in doc["populations"][name]:
+            ind, offset = _individual_from_record(record, blob, offset, params_file)
+            individuals.append(ind)
+    if not offset == len(blob) == doc["params_file"]["length"]:
+        raise CheckpointError(f"{params_file}: {len(blob)} bytes, state.json records "
+                              f"{doc['params_file']['length']!r}, its layouts {offset}")
     config = config_from_dict(doc["config"])
 
     def generator_with_state(rng_state) -> np.random.Generator:
@@ -586,19 +588,12 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     data_source = make_data_source(config, np.random.Generator(np.random.PCG64()))
     data_source.restore(doc["data"])
 
-    def speciation(record) -> SpeciationState:
-        return SpeciationState(threshold=record["threshold"],
-                               target_species=record["target_species"],
-                               min_threshold=record["min_threshold"])
-
     state = EvolutionState(
         generation=int(doc["generation"]),
-        generators=[_individual_from_record(r, blob)
-                    for r in doc["populations"]["generators"]],
-        discriminators=[_individual_from_record(r, blob)
-                        for r in doc["populations"]["discriminators"]],
-        speciation_g=speciation(doc["speciation"]["generator"]),
-        speciation_d=speciation(doc["speciation"]["discriminator"]),
+        generators=populations["generators"],
+        discriminators=populations["discriminators"],
+        speciation_g=SpeciationState(**doc["speciation"]["generator"]),
+        speciation_d=SpeciationState(**doc["speciation"]["discriminator"]),
         next_individual_id=int(doc["next_individual_id"]),
         innovations=InnovationCounter(int(doc["next_innovation_id"])),
         rng=rng,
@@ -656,9 +651,12 @@ def dump_samples(individual: Individual, n: int, out_dir: str,
 def prepare_run_dir(config: RunConfig) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     save_config(config, os.path.join(config.out_dir, "config.txt"))
-    # truncate the metrics stream for a fresh run
+    # a fresh run starts from empty metrics streams and an empty checkpoint
+    # directory, so it never rewrites the params file a state.json names
     open(metrics_path(config.out_dir), "w").close()
     open(timings_path(config.out_dir), "w").close()
+    if os.path.isdir(checkpoint_dir(config.out_dir)):
+        shutil.rmtree(checkpoint_dir(config.out_dir))
 
 
 def dump_final_samples(state: EvolutionState, config: RunConfig,
@@ -739,13 +737,16 @@ def run_evolution(config: RunConfig,
 def resume_evolution(checkpoint_dir: str, generations: int | None = None,
                      out_dir: str | None = None,
                      classifier=None) -> tuple[list[MetricsRecord], EvolutionState]:
-    """Continue a checkpointed run; appends to the original metrics stream."""
+    """Continue a checkpointed run; appends to the original metrics stream
+    after dropping any lines it holds for generations past the checkpoint."""
     state, config = read_checkpoint(checkpoint_dir)
     if generations is not None:
         config = replace_config(config, generations=generations)
     if out_dir is not None:
         config = replace_config(config, out_dir=out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
+    for path in (metrics_path(config.out_dir), timings_path(config.out_dir)):
+        _truncate_stream(path, state.generation)
     history = _evolution_loop(state, config, classifier)
     dump_final_samples(state, config)
     return history, state

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import AdamConfig, NetworkInstance
+from .backend import AdamConfig, NetworkInstance, adam_step
 
 LOG_CLAMP = 1e-7
 
@@ -122,7 +122,7 @@ def train_pair(d_individual, g_individual, data_source, budget: TrainingBudget,
         p_fake = d_net.forward(fake, train=True)
         d_net.backward((-_neg_log_grad(1.0 - p_fake)).astype(d_net.dtype))
         d_losses.append(d_loss(p_real, p_fake))
-        d_net.adam_step_all(adam_config)
+        adam_step(d_net.store, adam_config)
 
         # generator step: backprop through the (frozen) discriminator
         fake = g_net.forward(noise.sample(budget.batch_size), train=True)
@@ -132,7 +132,7 @@ def train_pair(d_individual, g_individual, data_source, budget: TrainingBudget,
         d_fake_grad = d_net.backward(g_loss_grad(p).astype(d_net.dtype))
         g_net.zero_grads()
         g_net.backward(d_fake_grad)
-        g_net.adam_step_all(adam_config)
+        adam_step(g_net.store, adam_config)
 
     return PairingOutcome(
         generator_id=g_individual.id,

@@ -7,45 +7,60 @@ from ganevo import genome as G
 from ganevo import variation as V
 
 
+def store_of(*shapes, dtype=np.float64):
+    """A store with one entry per (weight shape, bias shape), gene ids 0, 1, ..."""
+    keys = [B.ParamStore.key(i, w, b) for i, (w, b) in enumerate(shapes)]
+    return B.ParamStore(keys, dtype)
+
+
 def entry_of(shape_w, shape_b, value=0.0, dtype=np.float64):
-    w = np.full(shape_w, value, dtype=dtype)
-    b = np.zeros(shape_b, dtype=dtype)
-    return B.ParamEntry(weights=w, bias=b, m_w=np.zeros_like(w), v_w=np.zeros_like(w),
-                        m_b=np.zeros_like(b), v_b=np.zeros_like(b))
+    (entry,) = store_of((shape_w, shape_b), dtype=dtype).entries.values()
+    entry.weights[...] = value
+    return entry
+
+
+def adam_deltas(grads, m=0.0, v=0.0, step=0, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
+    """Independent evaluation of the Adam recurrence: the parameter change of
+    each successive update."""
+    deltas = []
+    for g in grads:
+        step += 1
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        deltas.append(-lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps))
+    return deltas
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        entry = entry_of((3, 2), (3,), value=0.5)
-        before = entry.weights.copy()
-        B.adam_step(entry, np.zeros((3, 2)), np.zeros(3), B.AdamConfig())
-        assert np.array_equal(entry.weights, before)
+        store = store_of(((3, 2), (3,)))
+        (entry,) = store.entries.values()
+        entry.weights[...] = 0.5
+        B.adam_step(store, B.AdamConfig())
+        assert np.all(entry.weights == 0.5)
         assert np.array_equal(entry.bias, np.zeros(3))
         assert entry.step == 1
 
     def test_first_step_magnitude(self):
         # m_hat = 1, v_hat = 1 after bias correction, so the update is
         # -lr / (1 + eps); evaluate the closed form independently
-        entry = entry_of((1,), (1,), value=0.0)
-        B.adam_step(entry, np.ones(1), np.zeros(1), B.AdamConfig())
+        store = store_of(((1,), (1,)))
+        (entry,) = store.entries.values()
+        entry.grad_w[...] = 1.0
+        B.adam_step(store, B.AdamConfig())
         expected = -0.001 * 1.0 / (np.sqrt(1.0) + 1e-8)
         assert entry.weights[0] == pytest.approx(expected, abs=1e-15)
         assert entry.weights[0] == pytest.approx(-0.000999999990, abs=1e-12)
 
     def test_repeated_identical_gradients_shrink_steps(self):
-        # independent recurrence evaluation
-        lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
-        m = v = 0.0
-        deltas = []
-        for t in range(1, 6):
-            m = b1 * m + (1 - b1) * 1.0
-            v = b2 * v + (1 - b2) * 1.0
-            deltas.append(-lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps))
-        entry = entry_of((1,), (1,))
+        deltas = adam_deltas([1.0] * 5)
+        store = store_of(((1,), (1,)))
+        (entry,) = store.entries.values()
+        entry.grad_w[...] = 1.0
         prev = 0.0
         for t in range(5):
             before = entry.weights[0]
-            B.adam_step(entry, np.ones(1), np.zeros(1), B.AdamConfig())
+            B.adam_step(store, B.AdamConfig())
             delta = entry.weights[0] - before
             assert delta == pytest.approx(deltas[t], rel=1e-12)
             if t > 0:
@@ -54,21 +69,43 @@ class TestAdam:
                 assert abs(delta) <= abs(prev) * (1 + 1e-9)
             prev = delta
 
-    def test_shape_mismatch_rejected(self):
-        entry = entry_of((3, 2), (3,))
-        with pytest.raises(ValueError):
-            B.adam_step(entry, np.zeros((2, 3)), np.zeros(3), B.AdamConfig())
+    def test_fused_update_keeps_each_entry_step(self, rng):
+        # one store, a fresh entry (step 0) next to an inherited one (step 17,
+        # non-zero moments): each follows its own closed-form recurrence
+        store = store_of(((2, 3), (2,)), ((4,), (1,)))
+        fresh, inherited = store.entries.values()
+        inherited.step = 17
+        inherited.m_w[...] = 0.3
+        inherited.v_w[...] = 0.2
+        fresh_grads = rng.standard_normal((3, 2, 3))
+        inherited_grads = rng.standard_normal((3, 4))
+        expected_fresh = adam_deltas(fresh_grads)
+        expected_inherited = adam_deltas(inherited_grads, m=0.3, v=0.2, step=17)
+        for t in range(3):
+            fresh.grad_w[...] = fresh_grads[t]
+            inherited.grad_w[...] = inherited_grads[t]
+            w_fresh, w_inherited = fresh.weights.copy(), inherited.weights.copy()
+            B.adam_step(store, B.AdamConfig())
+            np.testing.assert_allclose(fresh.weights - w_fresh, expected_fresh[t], rtol=1e-12)
+            np.testing.assert_allclose(inherited.weights - w_inherited,
+                                       expected_inherited[t], rtol=1e-12)
+        assert (fresh.step, inherited.step) == (3, 20)
+        # zero gradients and zero moments leave the biases where they were
+        assert np.all(fresh.bias == 0) and np.all(inherited.bias == 0)
 
 
 class TestInitialization:
     def test_uniform_bounds_and_zero_bias(self, rng):
-        entry = B.fresh_entry((64, 100), (64,), fan_in=100, rng=rng)
+        genome = make_genome(G.DISCRIMINATOR, [(0, G.LINEAR, 64, "relu")])
+        _, store = build(genome, data_shape=(1, 10, 10), rng=rng)
+        entry = store.get(B.ParamStore.key(0, (64, 100), (64,)))
         bound = np.sqrt(1.0 / 100)
         assert entry.weights.min() >= -bound
         assert entry.weights.max() <= bound
         assert np.all(entry.bias == 0)
         assert entry.weights.dtype == np.float32
         assert entry.step == 0
+        assert not store.data[1:].any()  # moments and gradients start at zero
 
 
 def build(genome, data_shape=(1, 8, 8), noise_dim=10, parent=None, rng=None,
@@ -95,7 +132,7 @@ class TestBuildNetwork:
             assert np.array_equal(copied.m_w, entry.m_w)
             assert np.array_equal(copied.v_w, entry.v_w)
             assert copied.step == entry.step
-            assert copied is not entry  # deep copy, not aliasing
+            assert not np.shares_memory(copied.weights, entry.weights)
         assert net2.copied_gene_ids == {0, 1}
 
     def test_changed_units_reinitializes(self, rng):
@@ -197,6 +234,17 @@ class TestBackward:
         for layer in net.trainable():
             assert np.all(layer.grad_w == 0)
             assert np.all(layer.grad_b == 0)
+
+    def test_layer_gradients_alias_the_store(self, rng):
+        d = make_genome(G.DISCRIMINATOR, [(0, G.CONV, 3, "relu"), (1, G.LINEAR, 5, "elu")])
+        g = make_genome(G.GENERATOR, [(2, G.LINEAR, 9, "relu"),
+                                      (3, G.TRANSPOSE_CONV, 2, "tanh")])
+        for genome in (d, g):
+            net, _ = build(genome, rng=rng)
+            assert len(net.trainable()) == 3
+            for layer in net.trainable():
+                assert np.shares_memory(layer.grad_w, net.store.data)
+                assert np.shares_memory(layer.grad_b, net.store.data)
 
     def test_linear_bias_gradient_equals_upstream(self, rng):
         entry = entry_of((3, 4), (3,))

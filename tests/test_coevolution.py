@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -26,11 +28,88 @@ def tiny_config(tmp_path, **overrides):
 
 
 def checkpoint_contents(run_dir):
-    """params.bin bytes and state.json with the run-specific out_dir left out."""
+    """Params file bytes and state.json with the run-specific out_dir left out."""
     ckpt = run_dir / "checkpoint"
     state = json.loads((ckpt / "state.json").read_text())
     del state["config"]["out_dir"]
-    return (ckpt / "params.bin").read_bytes(), state
+    return (ckpt / state["params_file"]["name"]).read_bytes(), state
+
+
+class Fault:
+    """Raises OSError at the n-th filesystem step it is asked about."""
+
+    def __init__(self, n):
+        self.n = n
+        self.steps = 0
+
+    def step(self, what):
+        self.steps += 1
+        if self.steps == self.n:
+            raise OSError(f"injected fault at step {self.n}: {what}")
+
+
+class TornFile:
+    """A file whose first write stops halfway when the fault fires there."""
+
+    def __init__(self, fh, fault):
+        self._fh = fh
+        self._fault = fault
+        self._written = False
+
+    def write(self, data):
+        if not self._written:
+            self._written = True
+            try:
+                self._fault.step("write")
+            except OSError:
+                if isinstance(data, str):
+                    self._fh.write(data[: len(data) // 2])
+                else:
+                    raw = memoryview(data).cast("B")
+                    self._fh.write(raw[: len(raw) // 2])
+                raise
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def inject_faults(monkeypatch, fault):
+    """Route the experiment module's file writes, replaces and removes
+    through `fault`: opening a file for writing, its first write, each
+    os.replace and each os.remove is one step."""
+
+    def faulty_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        try:
+            fault.step(f"open {path}")
+        except OSError:
+            fh.close()
+            raise
+        return TornFile(fh, fault)
+
+    class FaultyOs:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        def replace(self, src, dst):
+            fault.step(f"replace {dst}")
+            os.replace(src, dst)
+
+        def remove(self, path):
+            fault.step(f"remove {path}")
+            os.remove(path)
+
+    monkeypatch.setattr(E, "open", faulty_open, raising=False)
+    monkeypatch.setattr(E, "os", FaultyOs())
 
 
 class TestMakePairs:
@@ -181,6 +260,45 @@ class TestRunEvolution:
         assert full == half
         assert checkpoint_contents(tmp_path / "full" / "run") == \
             checkpoint_contents(tmp_path / "half" / "run")
+
+    def test_resume_drops_metrics_past_checkpoint(self, tmp_path):
+        E.run_evolution(tiny_config(tmp_path / "full", generations=4))
+        full = (tmp_path / "full" / "run" / "metrics.txt").read_text()
+        E.run_evolution(tiny_config(tmp_path / "half", generations=2))
+        # the line a kill between append_metrics and write_checkpoint leaves
+        with open(tmp_path / "half" / "run" / "metrics.txt", "a") as fh:
+            fh.write(full.splitlines(keepends=True)[2])
+        E.resume_evolution(str(tmp_path / "half" / "run" / "checkpoint"), generations=4)
+        assert (tmp_path / "half" / "run" / "metrics.txt").read_text() == full
+        timings = (tmp_path / "half" / "run" / "timings.txt").read_text().splitlines()
+        assert [line.split()[0] for line in timings] == [f"generation={g}" for g in range(4)]
+
+    def test_kill_at_any_checkpoint_step_resumes_exactly(self, tmp_path, monkeypatch):
+        E.run_evolution(tiny_config(tmp_path / "full", generations=4))
+        full = (tmp_path / "full" / "run" / "metrics.txt").read_text()
+        E.run_evolution(tiny_config(tmp_path / "half", generations=2))
+        n = 0
+        while True:
+            n += 1
+            run = tmp_path / f"kill{n}" / "run"
+            shutil.copytree(tmp_path / "half" / "run", run)
+            fault = Fault(n)
+            with monkeypatch.context() as patched:
+                inject_faults(patched, fault)
+                try:
+                    E.resume_evolution(str(run / "checkpoint"), generations=4,
+                                       out_dir=str(run))
+                except OSError:
+                    pass
+            if fault.steps < n:
+                break  # the run finished: every step of a checkpoint write was hit
+            E.resume_evolution(str(run / "checkpoint"), generations=4, out_dir=str(run))
+            assert (run / "metrics.txt").read_text() == full, f"fault at step {n}"
+            assert checkpoint_contents(run) == checkpoint_contents(tmp_path / "full" / "run")
+        # per checkpoint write: open and torn write of the params file and of
+        # state.json, the replace, the removal of the previous params file;
+        # then the open and write of the final samples
+        assert n - 1 == 2 * 6 + 2
 
     def test_samples_dumped_for_ring_dataset(self, tmp_path):
         config = tiny_config(tmp_path, generations=1)

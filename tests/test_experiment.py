@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -5,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_individual, make_genome
 from ganevo import backend as B
@@ -269,30 +272,137 @@ class TestMetricsPersistence:
 
     def test_persist_and_read(self, tmp_path):
         records = [self._record(i) for i in range(5)]
-        E.persist_metrics(records, str(tmp_path))
+        for record in records:
+            E.append_metrics(str(tmp_path), record)
         loaded = E.read_metrics(str(tmp_path))
         assert [r.generation for r in loaded] == [0, 1, 2, 3, 4]
         assert len((tmp_path / "metrics.txt").read_text().splitlines()) == 5
 
 
+def trained_state(out_dir, rng):
+    """A fresh ring2d state whose individuals hold built stores with random
+    parameters and moments and a distinct Adam step on every entry."""
+    config = E.load_config(overrides=dict(
+        dataset="ring2d", generator_population=2, discriminator_population=3,
+        noise_dim=4, feature_range=(4, 8), out_dir=str(out_dir)))
+    state = E.init_state(config)
+    steps = iter(range(int(rng.integers(1000)), 10 ** 6, 7))
+    for ind in state.generators + state.discriminators:
+        plan = G.infer_shapes(ind.genome, (1, 1, 2), config.noise_dim)
+        _, store = B.build_network(ind.genome, plan, rng=rng)
+        store.data[:3] = rng.standard_normal((3, store.data.shape[1]))
+        for entry in store.entries.values():
+            entry.step = next(steps)
+        ind.param_store = store
+    return state, config
+
+
 class TestParamStoreSerialization:
-    def test_round_trip_bit_exact(self, rng):
-        store = B.ParamStore()
-        for gene_id, shape in ((0, (4, 3)), (5, (2, 3, 3, 3)), (-1, (1, 9))):
-            entry = B.fresh_entry(shape, (shape[0],), fan_in=9, rng=rng)
-            entry.m_w += rng.standard_normal(shape).astype(np.float32)
-            entry.step = int(rng.integers(0, 1000))
-            store.put(B.ParamStore.key(gene_id, shape, (shape[0],)), entry)
-        data = E.store_to_bytes(store)
-        loaded, end = E.store_from_bytes(data)
-        assert end == len(data)
-        assert set(loaded.entries) == set(store.entries)
-        for key, entry in store.entries.items():
-            other = loaded.get(key)
-            assert np.array_equal(entry.weights, other.weights)
-            assert np.array_equal(entry.m_w, other.m_w)
-            assert np.array_equal(entry.v_b, other.v_b)
-            assert entry.step == other.step
+    def test_round_trip_bit_exact(self, tmp_path, rng):
+        state, config = trained_state(tmp_path / "run", rng)
+        state.generation = 3
+        ckpt = E.write_checkpoint(state, config, config.out_dir)
+        assert sorted(os.listdir(ckpt)) == ["params-3.bin", "state.json"]
+        loaded, _ = E.read_checkpoint(ckpt)
+        before = state.generators + state.discriminators
+        after = loaded.generators + loaded.discriminators
+        assert [i.id for i in before] == [i.id for i in after]
+        steps = []
+        for a, b in zip(before, after):
+            assert list(a.param_store.entries) == list(b.param_store.entries)
+            assert b.param_store.data.dtype == np.float32
+            assert np.array_equal(a.param_store.data[:3], b.param_store.data[:3])
+            assert not b.param_store.data[3].any()
+            a_steps = [e.step for e in a.param_store.entries.values()]
+            assert a_steps == [e.step for e in b.param_store.entries.values()]
+            steps += a_steps
+        assert len(set(steps)) == len(steps) > len(before)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """(state.json document, params bytes, scratch directory) of a checkpoint."""
+    tmp = tmp_path_factory.mktemp("checkpoint")
+    state, config = trained_state(tmp / "run", np.random.default_rng(8))
+    ckpt = E.write_checkpoint(state, config, config.out_dir)
+    with open(os.path.join(ckpt, "state.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(os.path.join(ckpt, doc["params_file"]["name"]), "rb") as fh:
+        blob = fh.read()
+    return doc, blob, tmp
+
+
+def read_written(directory, doc, blob):
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "state.json"), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    with open(os.path.join(directory, doc["params_file"]["name"]), "wb") as fh:
+        fh.write(blob)
+    return E.read_checkpoint(str(directory))
+
+
+LAYOUT_VALUES = st.one_of(st.integers(-3, 2 ** 40), st.floats(allow_nan=False),
+                          st.booleans(), st.none())
+
+
+class TestCheckpointErrors:
+    def test_intact_checkpoint_reads(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        state, _ = read_written(tmp / "intact", doc, blob)
+        assert all(i.param_store is not None for i in state.generators)
+
+    def test_version_one_rejected(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 1"):
+            read_written(tmp / "v1", dict(doc, version=1), blob)
+
+    def test_missing_params_file_named(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        read_written(tmp / "missing", doc, blob)
+        os.remove(tmp / "missing" / doc["params_file"]["name"])
+        with pytest.raises(E.CheckpointError, match=r"params-0\.bin: params file missing"):
+            E.read_checkpoint(str(tmp / "missing"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_params_file_rejected(self, saved_checkpoint, data):
+        doc, blob, tmp = saved_checkpoint
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        doc = copy.deepcopy(doc)
+        if data.draw(st.booleans()):
+            doc["params_file"]["length"] = cut  # a state.json that agrees with the cut
+        with pytest.raises(E.CheckpointError, match="params-0.bin"):
+            read_written(tmp / "truncated", doc, blob[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_layout_fails_only_with_checkpoint_error(self, saved_checkpoint, data):
+        doc, blob, tmp = saved_checkpoint
+        doc = copy.deepcopy(doc)
+        params = data.draw(st.sampled_from(
+            [r["params"] for pop in doc["populations"].values() for r in pop]))
+        item = data.draw(st.sampled_from(params["layout"]))
+        where = data.draw(st.sampled_from(["gene", "dim", "step", "arity", "offset"]))
+        value = data.draw(LAYOUT_VALUES)
+        if where == "gene":
+            item[0] = value
+        elif where == "step":
+            item[3] = value
+        elif where == "arity":
+            item.append(value) if data.draw(st.booleans()) else item.pop()
+        elif where == "offset":
+            old, params["offset"] = params["offset"], value
+        else:
+            dims = item[data.draw(st.sampled_from([1, 2]))]
+            i = data.draw(st.integers(0, len(dims) - 1))
+            old, dims[i] = dims[i], value
+        try:
+            read_written(tmp / "perturbed", doc, blob)
+        except E.CheckpointError:
+            return
+        # a read may succeed only where the layout still describes the file
+        assert where in ("gene", "step") or (
+            where in ("dim", "offset") and type(value) is int and value == old)
 
 
 class TestSampleDumping:
@@ -335,7 +445,8 @@ class TestPlotExport:
             d_mean_gene_reuse=0.0, g_mean_gene_reuse=0.0, d_species_count=1,
             g_species_count=1, d_threshold=2.0, g_threshold=2.0, wall_seconds=0.0)
             for i in range(3)]
-        E.persist_metrics(records, str(tmp_path))
+        for record in records:
+            E.append_metrics(str(tmp_path), record)
         written = E.export_plot_data(str(tmp_path))
         fid_file = tmp_path / "plot" / "best_fid.dat"
         assert str(fid_file) in written
