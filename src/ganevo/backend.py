@@ -30,12 +30,9 @@ ELU_ALPHA = 1.0
 PROB_CLIP = 1e-7
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class ParamEntry:
@@ -72,11 +69,11 @@ class ParamStore:
         return self.entries.get(key)
 
 
-def adam_step(store: ParamStore, config: AdamConfig) -> None:
+def adam_step(store: ParamStore, learning_rate: float) -> None:
     """One Adam update of every entry, in place: both moment rows in one pass
     over the buffer, then each entry's bias-corrected update with its own step
     count, since inherited and fresh entries of one network differ in it."""
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     params, m, v, g = store.data
     m *= b1
     m += (1.0 - b1) * g
@@ -86,7 +83,7 @@ def adam_step(store: ParamStore, config: AdamConfig) -> None:
         entry.step += 1
         m_hat = m[entry.span] / (1.0 - b1 ** entry.step)
         v_hat = v[entry.span] / (1.0 - b2 ** entry.step)
-        params[entry.span] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        params[entry.span] -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 # -- convolution plumbing -------------------------------------------------

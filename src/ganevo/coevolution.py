@@ -16,19 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import AdamConfig, NetworkInstance, ParamStore, build_network
+from .backend import NetworkInstance, ParamStore, build_network
 from .fitness import Embedding, assign_fitness, classifier_score, fid, rmse_metric
-from .gan import NoiseSource, PairingOutcome, TrainingBudget, generate_samples, train_pair
+from .gan import NoiseSource, generate_samples, train_pair
 from .genome import Genome, InnovationCounter, infer_shapes
-from .variation import (
-    FitnessRecord,
-    MutationRates,
-    Offspring,
-    SpeciationState,
-    goodness_key,
-    next_generation,
-    speciate,
-)
+from .variation import FitnessRecord, Offspring, goodness_key, next_generation, speciate
 
 ALL_VS_ALL = "all"
 RANDOM = "random"
@@ -114,8 +106,9 @@ class EvolutionState:
     generation: int
     generators: list[Individual]
     discriminators: list[Individual]
-    speciation_g: SpeciationState
-    speciation_d: SpeciationState
+    # each subpopulation's adaptive speciation threshold
+    threshold_g: float
+    threshold_d: float
     next_individual_id: int
     innovations: InnovationCounter
     rng: dict[str, np.random.Generator]
@@ -249,12 +242,7 @@ def run_generation(state: EvolutionState, config,
         config.pairing, state.generators, state.discriminators,
         (state.prev_best_g, state.prev_best_d), state.rng["pairing"],
     )
-    budget = TrainingBudget(batches_per_pair=config.batches_per_pair,
-                            batch_size=config.batch_size)
-    adam = AdamConfig(learning_rate=config.learning_rate)
-    outcomes: list[PairingOutcome] = []
-    for g, d in pairs:
-        outcomes.append(train_pair(d, g, data, budget, adam, state.train_noise))
+    outcomes = [train_pair(d, g, data, config, state.train_noise) for g, d in pairs]
 
     real_fid = data.next_batch(config.fid_samples)
     fid_map = {}
@@ -275,17 +263,15 @@ def run_generation(state: EvolutionState, config,
     if classifier is not None:
         score = classifier_score(classifier, fake_rmse, config.rmse_samples)
 
-    species_g, state.speciation_g = speciate(state.generators, state.speciation_g)
-    species_d, state.speciation_d = speciate(state.discriminators, state.speciation_d)
+    species_g, state.threshold_g = speciate(state.generators, state.threshold_g,
+                                            config.species_target)
+    species_d, state.threshold_d = speciate(state.discriminators, state.threshold_d,
+                                            config.species_target)
 
-    rates = MutationRates(add_layer=config.add_layer_rate,
-                          remove_layer=config.remove_layer_rate,
-                          change_layer=config.change_layer_rate)
-    kwargs = dict(rates=rates, rng=state.rng["variation"], counter=state.innovations,
-                  tournament_k=config.tournament_k, feature_range=config.feature_range,
-                  channel_range=config.channel_range)
-    offspring_g = next_generation(state.generators, species_g, fitness_map, **kwargs)
-    offspring_d = next_generation(state.discriminators, species_d, fitness_map, **kwargs)
+    rng, counter = state.rng["variation"], state.innovations
+    offspring_g = next_generation(state.generators, species_g, fitness_map, config, rng, counter)
+    offspring_d = next_generation(state.discriminators, species_d, fitness_map, config, rng,
+                                  counter)
 
     record = MetricsRecord(
         generation=state.generation,
@@ -302,8 +288,8 @@ def run_generation(state: EvolutionState, config,
         g_mean_gene_reuse=_mean_gene_reuse(state.generators),
         d_species_count=len(species_d),
         g_species_count=len(species_g),
-        d_threshold=state.speciation_d.threshold,
-        g_threshold=state.speciation_g.threshold,
+        d_threshold=state.threshold_d,
+        g_threshold=state.threshold_g,
         wall_seconds=time.perf_counter() - start,
     )
 

@@ -39,7 +39,7 @@ from .genome import (
     genome_to_record,
     new_minimal_genome,
 )
-from .variation import FitnessRecord, SpeciationState
+from .variation import DEFAULT_THRESHOLD, FitnessRecord
 
 DATA_DIR_ENV = "GANEVO_DATA_DIR"
 DATASETS = ("mnist", "fashion-mnist", "ring2d")
@@ -52,7 +52,7 @@ IDX_LABELS_MAGIC = 0x00000801
 # real samples fit the generator's tanh output range
 RING_SCALE_MARGIN = 1.1
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -69,6 +69,8 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every run parameter, checked by validate_config whenever one is built."""
+
     generations: int = 50
     generator_population: int = 10
     discriminator_population: int = 10
@@ -96,9 +98,20 @@ class RunConfig:
     ring_radius: float = 2.0
     ring_sigma: float = 0.05
 
+    def __post_init__(self):
+        # an int is accepted where a float is expected
+        for key, default in _DEFAULTS.items():
+            value = getattr(self, key)
+            if isinstance(default, float) and type(value) is int:
+                try:
+                    object.__setattr__(self, key, float(value))
+                except OverflowError:
+                    raise ConfigError(f"{key}: {value} is not finite") from None
+        validate_config(self)
+
 
 # every key's parser and validation follow the type of its default
-_DEFAULTS = dataclasses.asdict(RunConfig())
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
@@ -122,6 +135,15 @@ _RATES = ("add_layer_rate", "remove_layer_rate", "change_layer_rate")
 def validate_config(config: RunConfig) -> None:
     for key, default in _DEFAULTS.items():
         value = getattr(config, key)
+        if isinstance(default, tuple):
+            expected = f"{len(default)} ints"
+            ok = (type(value) is tuple and len(value) == len(default)
+                  and all(type(v) is int for v in value))
+        else:
+            expected = type(default).__name__
+            ok = type(value) is type(default)
+        if not ok:
+            raise ConfigError(f"{key}: {value!r} is not {expected}")
         if isinstance(default, float) and not math.isfinite(value):
             raise ConfigError(f"{key}: {value} is not finite")
     if config.generations < 0:
@@ -156,45 +178,38 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     """Defaults, overridden by a key=value file, overridden by flags."""
     values: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                raw = raw.strip()
-                if key not in _DEFAULTS:
-                    raise ConfigError(f"unknown key {key!r}")
-                try:
-                    values[key] = _parse_value(key, raw)
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
-    if overrides:
-        for key, value in overrides.items():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        for line_no, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            raw = raw.strip()
             if key not in _DEFAULTS:
                 raise ConfigError(f"unknown key {key!r}")
-            values[key] = value
-    config = RunConfig(**values)
-    validate_config(config)
-    return config
-
-
-def replace_config(config: RunConfig, **changes) -> RunConfig:
-    out = dataclasses.replace(config, **changes)
-    validate_config(out)
-    return out
+            try:
+                values[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
+    values.update(overrides or {})
+    return config_from_dict(values)
 
 
 def config_from_dict(record: dict) -> RunConfig:
-    """Inverse of dataclasses.asdict after a JSON round trip (tuples come
-    back as lists)."""
-    config = RunConfig(**{k: tuple(v) if isinstance(v, list) else v
-                          for k, v in record.items()})
-    validate_config(config)
-    return config
+    """A RunConfig from key -> value, such as dataclasses.asdict after a JSON
+    round trip (lists become tuples)."""
+    for key in record:
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown key {key!r}")
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v
+                        for k, v in record.items()})
 
 
 def save_config(config: RunConfig, path: str) -> None:
@@ -317,17 +332,16 @@ def ring_mode_centers(modes: int, radius: float) -> np.ndarray:
 class Ring2dSource:
     """Mixture of isotropic Gaussians centered evenly on a circle.
 
-    Yields raw (unscaled) coordinates shaped (n, 1, 1, 2).
+    Yields coordinates divided by `scale`, shaped (n, 1, 1, 2).
     """
 
-    def __init__(self, modes: int, radius: float, noise_sigma: float, rng):
-        if modes < 1:
-            raise ValueError("modes must be >= 1")
+    def __init__(self, modes: int, radius: float, noise_sigma: float, rng,
+                 scale: float = 1.0):
         self.modes = modes
         self.radius = radius
         self.noise_sigma = noise_sigma
         self.rng = rng
-        self.scale = 1.0
+        self.scale = float(scale)
         self.centers = ring_mode_centers(modes, radius)
 
     @property
@@ -337,7 +351,7 @@ class Ring2dSource:
     def next_batch(self, n: int) -> np.ndarray:
         which = self.rng.integers(self.modes, size=n)
         points = self.centers[which] + self.noise_sigma * self.rng.standard_normal((n, 2))
-        return points.reshape(n, 1, 1, 2).astype(np.float32)
+        return points.reshape(n, 1, 1, 2).astype(np.float32) / np.float32(self.scale)
 
     def state(self) -> dict:
         return {"kind": "ring2d", "rng": self.rng.bit_generator.state}
@@ -346,35 +360,14 @@ class Ring2dSource:
         self.rng.bit_generator.state = state["rng"]
 
 
-class ScaledSource:
-    """Divides another source's samples by a constant so they fit [-1, 1]."""
-
-    def __init__(self, inner, scale: float):
-        self.inner = inner
-        self.scale = float(scale)
-
-    @property
-    def data_shape(self):
-        return self.inner.data_shape
-
-    def next_batch(self, n: int) -> np.ndarray:
-        return self.inner.next_batch(n) / np.float32(self.scale)
-
-    def state(self) -> dict:
-        return self.inner.state()
-
-    def restore(self, state: dict) -> None:
-        self.inner.restore(state)
-
-
 def dataset_root(config: RunConfig) -> str:
     return os.environ.get(DATA_DIR_ENV, config.data_dir)
 
 
 def make_data_source(config: RunConfig, rng):
     if config.dataset == "ring2d":
-        inner = Ring2dSource(config.ring_modes, config.ring_radius, config.ring_sigma, rng)
-        return ScaledSource(inner, RING_SCALE_MARGIN * config.ring_radius)
+        return Ring2dSource(config.ring_modes, config.ring_radius, config.ring_sigma, rng,
+                            scale=RING_SCALE_MARGIN * config.ring_radius)
     if config.dataset in ("mnist", "fashion-mnist"):
         images = os.path.join(dataset_root(config), config.dataset,
                               "train-images-idx3-ubyte")
@@ -529,10 +522,7 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
         "next_individual_id": state.next_individual_id,
         "next_innovation_id": state.innovations.next,
         "prev_best": {"generator": state.prev_best_g, "discriminator": state.prev_best_d},
-        "speciation": {
-            "generator": dataclasses.asdict(state.speciation_g),
-            "discriminator": dataclasses.asdict(state.speciation_d),
-        },
+        "speciation": {"generator": state.threshold_g, "discriminator": state.threshold_d},
         "rng": {name: state.rng[name].bit_generator.state
                 for name in ("init", "variation", "pairing")},
         "noise": {"train": state.train_noise.state(), "eval": state.eval_noise.state()},
@@ -552,11 +542,22 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
 
 def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     """Inverse of write_checkpoint; raises CheckpointError, naming the file,
-    on an unsupported version or a params file that does not match its
-    layouts."""
+    on a state.json that is not JSON or lacks a key, an unsupported version,
+    or a params file that does not match its layouts."""
     state_file = os.path.join(ckpt, "state.json")
-    with open(state_file, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(state_file, "rb") as fh:
+        try:
+            doc = json.loads(fh.read())
+        except ValueError as exc:
+            raise CheckpointError(f"{state_file}: not a JSON document ({exc})") from None
+    try:
+        return _state_from_doc(doc, ckpt, state_file)
+    except KeyError as exc:
+        raise CheckpointError(f"{state_file}: missing key {exc}") from None
+
+
+def _state_from_doc(doc: dict, ckpt: str,
+                    state_file: str) -> tuple[EvolutionState, RunConfig]:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{state_file}: unsupported checkpoint version "
                               f"{doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
@@ -592,8 +593,8 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
         generation=int(doc["generation"]),
         generators=populations["generators"],
         discriminators=populations["discriminators"],
-        speciation_g=SpeciationState(**doc["speciation"]["generator"]),
-        speciation_d=SpeciationState(**doc["speciation"]["discriminator"]),
+        threshold_g=float(doc["speciation"]["generator"]),
+        threshold_d=float(doc["speciation"]["discriminator"]),
         next_individual_id=int(doc["next_individual_id"]),
         innovations=InnovationCounter(int(doc["next_innovation_id"])),
         rng=rng,
@@ -665,10 +666,9 @@ def dump_final_samples(state: EvolutionState, config: RunConfig,
     if best is None or best.network is None:
         return
     fmt = "xy" if config.dataset == "ring2d" else "pgm"
-    scale = getattr(state.data_source, "scale", 1.0)
     dump_samples(best, n, os.path.join(config.out_dir, "samples"),
                  noise=NoiseSource(config.noise_dim, np.random.default_rng(config.seed)),
-                 fmt=fmt, scale=scale)
+                 fmt=fmt, scale=state.data_source.scale)
 
 
 # -- runs -------------------------------------------------------------------------
@@ -682,17 +682,15 @@ def init_state(config: RunConfig) -> EvolutionState:
     roles = ([GENERATOR] * config.generator_population
              + [DISCRIMINATOR] * config.discriminator_population)
     population = [
-        Individual(id=i, genome=new_minimal_genome(role, rng["init"], innovations,
-                                                   feature_range=config.feature_range,
-                                                   max_len=config.genome_limit))
+        Individual(id=i, genome=new_minimal_genome(role, rng["init"], innovations, config))
         for i, role in enumerate(roles)
     ]
     return EvolutionState(
         generation=0,
         generators=population[:config.generator_population],
         discriminators=population[config.generator_population:],
-        speciation_g=SpeciationState(target_species=config.species_target),
-        speciation_d=SpeciationState(target_species=config.species_target),
+        threshold_g=DEFAULT_THRESHOLD,
+        threshold_d=DEFAULT_THRESHOLD,
         next_individual_id=len(population),
         innovations=innovations,
         rng=rng,
@@ -708,13 +706,17 @@ def _evolution_loop(state: EvolutionState, config: RunConfig,
     """Run generations until config.generations, persisting as we go.
 
     Metrics lines append to the run directory and a resumable checkpoint is
-    rewritten after every generation, so a failed run keeps its history.
+    rewritten after every generation, so a failed run keeps its history.  The
+    final samples are written before the last checkpoint: a kill while they
+    are written leaves the previous checkpoint, whose resume rewrites them.
     """
     history = []
     while state.generation < config.generations:
         state, record = run_generation(state, config, classifier)
         history.append(record)
         append_metrics(config.out_dir, record)
+        if state.generation == config.generations:
+            dump_final_samples(state, config)
         write_checkpoint(state, config, config.out_dir)
     return history
 
@@ -730,7 +732,6 @@ def run_evolution(config: RunConfig,
     state = init_state(config)
     write_checkpoint(state, config, config.out_dir)
     history = _evolution_loop(state, config, classifier)
-    dump_final_samples(state, config)
     return history, state
 
 
@@ -741,14 +742,13 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     after dropping any lines it holds for generations past the checkpoint."""
     state, config = read_checkpoint(checkpoint_dir)
     if generations is not None:
-        config = replace_config(config, generations=generations)
+        config = dataclasses.replace(config, generations=generations)
     if out_dir is not None:
-        config = replace_config(config, out_dir=out_dir)
+        config = dataclasses.replace(config, out_dir=out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
     for path in (metrics_path(config.out_dir), timings_path(config.out_dir)):
         _truncate_stream(path, state.generation)
     history = _evolution_loop(state, config, classifier)
-    dump_final_samples(state, config)
     return history, state
 
 

@@ -35,15 +35,16 @@ def identity_embedding() -> Embedding:
     return Embedding("identity", lambda x: x.reshape(x.shape[0], -1))
 
 
-def random_projection_embedding(out_dim: int = 64, seed: int = 7) -> Embedding:
-    """Fixed seeded linear projection; the matrix depends only on (seed, input dim)."""
+def random_projection_embedding(out_dim: int = 64, matrix_seed: int = 7) -> Embedding:
+    """Fixed seeded linear projection; the matrix depends only on (matrix_seed,
+    input dim), never on the run's seed."""
     matrices: dict[int, np.ndarray] = {}
 
     def transform(x: np.ndarray) -> np.ndarray:
         flat = x.reshape(x.shape[0], -1).astype(np.float64)
         in_dim = flat.shape[1]
         if in_dim not in matrices:
-            rng = np.random.default_rng([seed, in_dim])
+            rng = np.random.default_rng([matrix_seed, in_dim])
             matrices[in_dim] = rng.standard_normal((in_dim, out_dim)) / np.sqrt(in_dim)
         return flat @ matrices[in_dim]
 

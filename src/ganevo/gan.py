@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import AdamConfig, NetworkInstance, adam_step
+from .backend import NetworkInstance, adam_step
 
 LOG_CLAMP = 1e-7
 
@@ -58,7 +58,7 @@ def g_loss_grad(d_fake: np.ndarray) -> np.ndarray:
 class NoiseSource:
     """Standard normal latent vectors of a fixed dimension."""
 
-    def __init__(self, dimension: int = 100, rng=None):
+    def __init__(self, dimension: int, rng=None):
         if dimension < 1:
             raise ValueError("noise dimension must be >= 1")
         self.dimension = dimension
@@ -75,16 +75,6 @@ class NoiseSource:
 
 
 @dataclass(frozen=True)
-class TrainingBudget:
-    batches_per_pair: int = 20
-    batch_size: int = 64
-
-    def __post_init__(self):
-        if self.batches_per_pair < 1 or self.batch_size < 1:
-            raise ValueError("training budget values must be >= 1")
-
-
-@dataclass(frozen=True)
 class PairingOutcome:
     """Record of one generator/discriminator training bout."""
 
@@ -95,9 +85,10 @@ class PairingOutcome:
     batches: int
 
 
-def train_pair(d_individual, g_individual, data_source, budget: TrainingBudget,
-               adam_config: AdamConfig, noise: NoiseSource) -> PairingOutcome:
-    """Train one (discriminator, generator) pair for the configured batches.
+def train_pair(d_individual, g_individual, data_source, config,
+               noise: NoiseSource) -> PairingOutcome:
+    """Train one (discriminator, generator) pair for a RunConfig's
+    `batches_per_pair` batches of `batch_size` at its `learning_rate`.
 
     Per batch: one Adam step on the discriminator against a fresh real batch
     and a fresh fake batch, then one Adam step on the generator through a
@@ -110,46 +101,47 @@ def train_pair(d_individual, g_individual, data_source, budget: TrainingBudget,
         raise ValueError("both networks must be built before training")
     d_losses = []
     g_losses = []
-    for _ in range(budget.batches_per_pair):
-        real = data_source.next_batch(budget.batch_size)
+    for _ in range(config.batches_per_pair):
+        real = data_source.next_batch(config.batch_size)
 
         # discriminator step: accumulate gradients from the real and the
         # fake batch, then one Adam update
-        fake = g_net.forward(noise.sample(budget.batch_size), train=False)
+        fake = g_net.forward(noise.sample(config.batch_size), train=False)
         d_net.zero_grads()
         p_real = d_net.forward(real, train=True)
         d_net.backward(_neg_log_grad(p_real).astype(d_net.dtype))
         p_fake = d_net.forward(fake, train=True)
         d_net.backward((-_neg_log_grad(1.0 - p_fake)).astype(d_net.dtype))
         d_losses.append(d_loss(p_real, p_fake))
-        adam_step(d_net.store, adam_config)
+        adam_step(d_net.store, config.learning_rate)
 
         # generator step: backprop through the (frozen) discriminator
-        fake = g_net.forward(noise.sample(budget.batch_size), train=True)
+        fake = g_net.forward(noise.sample(config.batch_size), train=True)
         p = d_net.forward(fake, train=True)
         g_losses.append(g_loss(p))
         d_net.zero_grads()
         d_fake_grad = d_net.backward(g_loss_grad(p).astype(d_net.dtype))
         g_net.zero_grads()
         g_net.backward(d_fake_grad)
-        adam_step(g_net.store, adam_config)
+        adam_step(g_net.store, config.learning_rate)
 
     return PairingOutcome(
         generator_id=g_individual.id,
         discriminator_id=d_individual.id,
         d_loss_mean=float(np.mean(d_losses)),
         g_loss_mean=float(np.mean(g_losses)),
-        batches=budget.batches_per_pair,
+        batches=config.batches_per_pair,
     )
 
 
 def generate_samples(network: NetworkInstance, noise: NoiseSource, n: int,
-                     batch_size: int = 256) -> np.ndarray:
-    """Draw n generator samples without caching intermediates."""
+                     chunk: int = 256) -> np.ndarray:
+    """Draw n generator samples, `chunk` per forward pass, without caching
+    intermediates."""
     chunks = []
     remaining = n
     while remaining > 0:
-        take = min(batch_size, remaining)
+        take = min(chunk, remaining)
         chunks.append(network.forward(noise.sample(take), train=False))
         remaining -= take
     return np.concatenate(chunks, axis=0)

@@ -23,10 +23,6 @@ TRANSPOSE_CONV = "transpose_conv"
 
 ACTIVATIONS = ("relu", "leaky_relu", "elu", "sigmoid", "tanh")
 
-DEFAULT_FEATURE_RANGE = (32, 1024)
-DEFAULT_CHANNEL_RANGE = (16, 128)
-DEFAULT_GENOME_LIMIT = 6
-
 # Spatial rule: conv layers halve height/width (ceil) until either axis would
 # shrink below MIN_SPATIAL, then degrade to stride 1; transpose conv always
 # doubles.  Kernel/stride/padding are fixed so that these rules hold exactly.
@@ -79,7 +75,7 @@ class Gene:
 class Genome:
     role: str
     genes: tuple[Gene, ...]
-    max_len: int = DEFAULT_GENOME_LIMIT
+    max_len: int
 
     def innovation_ids(self) -> frozenset[int]:
         return frozenset(g.innovation_id for g in self.genes)
@@ -113,23 +109,19 @@ def section_boundary(genome: Genome) -> int:
     return boundary
 
 
-def new_minimal_genome(
-    role: str,
-    rng,
-    counter: InnovationCounter,
-    feature_range: tuple[int, int] = DEFAULT_FEATURE_RANGE,
-    max_len: int = DEFAULT_GENOME_LIMIT,
-) -> Genome:
-    """Starting genome for either role: a single random linear gene."""
+def new_minimal_genome(role: str, rng, counter: InnovationCounter, config) -> Genome:
+    """Starting genome for either role: a single random linear gene sized
+    within a RunConfig's `feature_range`, capped at its `genome_limit`."""
     if role not in ROLES:
         raise ValueError(f"unknown role {role!r}")
+    lo, hi = config.feature_range
     gene = Gene(
         innovation_id=counter.next_id(),
         kind=LINEAR,
-        units=int(rng.integers(feature_range[0], feature_range[1] + 1)),
+        units=int(rng.integers(lo, hi + 1)),
         activation=ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))],
     )
-    return Genome(role=role, genes=(gene,), max_len=max_len)
+    return Genome(role=role, genes=(gene,), max_len=config.genome_limit)
 
 
 def distance(a: Genome, b: Genome) -> int:

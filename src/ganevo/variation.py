@@ -4,17 +4,16 @@ Mutation applies add/remove/change operators as independent coin flips;
 speciation clusters genomes greedily by innovation-id distance under an
 adaptive threshold; reproduction allocates offspring to species by rank share,
 protects each species' best individual, and fills the rest with mutated
-tournament winners.
+tournament winners.  Rates, size ranges and the tournament size come from the
+RunConfig each call is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .genome import (
     ACTIVATIONS,
-    DEFAULT_CHANNEL_RANGE,
-    DEFAULT_FEATURE_RANGE,
     DISCRIMINATOR,
     LINEAR,
     Gene,
@@ -36,19 +35,6 @@ DEFAULT_THRESHOLD = 2.0
 
 
 @dataclass(frozen=True)
-class MutationRates:
-    add_layer: float = 0.20
-    remove_layer: float = 0.10
-    change_layer: float = 0.10
-
-    def __post_init__(self):
-        for name in ("add_layer", "remove_layer", "change_layer"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} rate {rate} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class FitnessRecord:
     raw: float
     orientation: str = LOWER_IS_BETTER
@@ -67,45 +53,32 @@ class Species:
 
 
 @dataclass(frozen=True)
-class SpeciationState:
-    threshold: float = DEFAULT_THRESHOLD
-    target_species: int = 3
-    min_threshold: float = MIN_THRESHOLD
-
-
-@dataclass(frozen=True)
 class Offspring:
     genome: Genome
     parent_id: int
     elite: bool
 
 
-def _random_units(kind: str, rng, feature_range, channel_range) -> int:
-    lo, hi = feature_range if kind == LINEAR else channel_range
+def _random_units(kind: str, rng, config) -> int:
+    lo, hi = config.feature_range if kind == LINEAR else config.channel_range
     return int(rng.integers(lo, hi + 1))
 
 
-def _random_gene(role: str, rng, counter: InnovationCounter,
-                 feature_range, channel_range) -> Gene:
+def _random_gene(role: str, rng, counter: InnovationCounter, config) -> Gene:
     spatial, linear = allowed_kinds(role)
     kind = (linear, spatial)[int(rng.integers(2))]
     return Gene(
         innovation_id=counter.next_id(),
         kind=kind,
-        units=_random_units(kind, rng, feature_range, channel_range),
+        units=_random_units(kind, rng, config),
         activation=ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))],
     )
 
 
-def mutate_with_events(
-    genome: Genome,
-    rates: MutationRates,
-    rng,
-    counter: InnovationCounter,
-    feature_range=DEFAULT_FEATURE_RANGE,
-    channel_range=DEFAULT_CHANNEL_RANGE,
-) -> tuple[Genome, dict[str, bool]]:
-    """Apply add/remove/change coin flips in order; report which fired.
+def mutate_with_events(genome: Genome, config, rng,
+                       counter: InnovationCounter) -> tuple[Genome, dict[str, bool]]:
+    """Apply add/remove/change coin flips at a RunConfig's rates, in order;
+    report which fired.
 
     A fired mutation that cannot apply (add at the length cap, remove at the
     single-gene floor) is skipped silently but still reported as fired.
@@ -113,10 +86,10 @@ def mutate_with_events(
     events = {"add_layer": False, "remove_layer": False, "change_layer": False}
     genes = list(genome.genes)
 
-    if rng.random() < rates.add_layer:
+    if rng.random() < config.add_layer_rate:
         events["add_layer"] = True
         if len(genes) < genome.max_len:
-            gene = _random_gene(genome.role, rng, counter, feature_range, channel_range)
+            gene = _random_gene(genome.role, rng, counter, config)
             boundary = section_boundary(genome)
             # legal insertion slots keep the two sections contiguous
             gene_in_first_section = (gene.kind != LINEAR) if genome.role == DISCRIMINATOR \
@@ -128,12 +101,12 @@ def mutate_with_events(
             pos = slots[int(rng.integers(len(slots)))]
             genes.insert(pos, gene)
 
-    if rng.random() < rates.remove_layer:
+    if rng.random() < config.remove_layer_rate:
         events["remove_layer"] = True
         if len(genes) > 1:
             del genes[int(rng.integers(len(genes)))]
 
-    if rng.random() < rates.change_layer:
+    if rng.random() < config.change_layer_rate:
         events["change_layer"] = True
         idx = int(rng.integers(len(genes)))
         old = genes[idx]
@@ -141,7 +114,7 @@ def mutate_with_events(
         # time, since resizing invalidates the layer's trained parameters
         units = old.units
         if rng.random() < 0.5:
-            units = _random_units(old.kind, rng, feature_range, channel_range)
+            units = _random_units(old.kind, rng, config)
         genes[idx] = Gene(
             innovation_id=old.innovation_id,
             kind=old.kind,
@@ -152,7 +125,7 @@ def mutate_with_events(
     return Genome(role=genome.role, genes=tuple(genes), max_len=genome.max_len), events
 
 
-def mutation_rate_statistics(rates: MutationRates, trials: int, rng,
+def mutation_rate_statistics(config, trials: int, rng,
                              counter: InnovationCounter | None = None) -> dict[str, float]:
     """Observed firing frequency of each mutation over fresh minimal genomes."""
     if trials < 1:
@@ -160,37 +133,38 @@ def mutation_rate_statistics(rates: MutationRates, trials: int, rng,
     counter = counter or InnovationCounter()
     counts = {"add_layer": 0, "remove_layer": 0, "change_layer": 0}
     for _ in range(trials):
-        base = new_minimal_genome(DISCRIMINATOR, rng, counter)
-        _, events = mutate_with_events(base, rates, rng, counter)
+        base = new_minimal_genome(DISCRIMINATOR, rng, counter, config)
+        _, events = mutate_with_events(base, config, rng, counter)
         for name, fired in events.items():
             counts[name] += fired
     return {name: count / trials for name, count in counts.items()}
 
 
-def speciate(individuals, state: SpeciationState) -> tuple[list[Species], SpeciationState]:
+def speciate(individuals, threshold: float,
+             target_species: int) -> tuple[list[Species], float]:
     """Greedy clustering by genome distance, then threshold adjustment.
 
     Individuals are visited in list order; each joins the first species whose
     representative lies within the threshold, otherwise founds a new species.
-    The threshold moves 10% toward producing the target species count.
+    Returns the species and the threshold moved 10% toward producing
+    `target_species` species, never below MIN_THRESHOLD.
     """
     if not individuals:
         raise ValueError("cannot speciate an empty population")
     species: list[Species] = []
     for ind in individuals:
         for sp in species:
-            if distance(ind.genome, sp.representative) <= state.threshold:
+            if distance(ind.genome, sp.representative) <= threshold:
                 sp.members.append(ind.id)
                 break
         else:
             species.append(Species(representative=ind.genome, members=[ind.id]))
     count = len(species)
-    threshold = state.threshold
-    if count > state.target_species:
+    if count > target_species:
         threshold *= THRESHOLD_GROW
-    elif count < state.target_species:
-        threshold = max(threshold * THRESHOLD_SHRINK, state.min_threshold)
-    return species, replace(state, threshold=threshold)
+    elif count < target_species:
+        threshold = max(threshold * THRESHOLD_SHRINK, MIN_THRESHOLD)
+    return species, threshold
 
 
 def tournament_select(members: list[int], fitness: dict[int, FitnessRecord],
@@ -221,23 +195,14 @@ def largest_remainder(shares: list[float], total: int) -> list[int]:
     return floors
 
 
-def next_generation(
-    individuals,
-    species: list[Species],
-    fitness: dict[int, FitnessRecord],
-    rates: MutationRates,
-    rng,
-    counter: InnovationCounter,
-    tournament_k: int = 2,
-    feature_range=DEFAULT_FEATURE_RANGE,
-    channel_range=DEFAULT_CHANNEL_RANGE,
-) -> list[Offspring]:
-    """Produce exactly len(individuals) offspring.
+def next_generation(individuals, species: list[Species], fitness: dict[int, FitnessRecord],
+                    config, rng, counter: InnovationCounter) -> list[Offspring]:
+    """Produce exactly len(individuals) offspring under a RunConfig.
 
     Species quotas follow each species' share of the population's rank mass
     (best rank = N), rounded by largest remainder.  The best member of every
     quota-holding species is copied unchanged; remaining slots are mutated
-    tournament winners drawn inside the species.
+    tournament winners (of `tournament_k` draws) inside the species.
     """
     n = len(individuals)
     genomes = {ind.id: ind.genome for ind in individuals}
@@ -253,8 +218,7 @@ def next_generation(
         best = max(sp.members, key=lambda i: goodness_key(fitness[i], i))
         offspring.append(Offspring(genome=genomes[best], parent_id=best, elite=True))
         for _ in range(quota - 1):
-            parent = tournament_select(sp.members, fitness, tournament_k, rng)
-            child, _ = mutate_with_events(genomes[parent], rates, rng, counter,
-                                          feature_range, channel_range)
+            parent = tournament_select(sp.members, fitness, config.tournament_k, rng)
+            child, _ = mutate_with_events(genomes[parent], config, rng, counter)
             offspring.append(Offspring(genome=child, parent_id=parent, elite=False))
     return offspring

@@ -146,18 +146,19 @@ class TestCriterion4MutationStatistics:
     def test_rates_and_length_bounds(self):
         rng = np.random.default_rng(404)
         counter = G.InnovationCounter()
-        rates = V.MutationRates(0.20, 0.10, 0.10)
+        config = E.RunConfig(add_layer_rate=0.20, remove_layer_rate=0.10,
+                             change_layer_rate=0.10)
         counts = {"add_layer": 0, "remove_layer": 0, "change_layer": 0}
         trials = 10_000
         lengths_ok = True
-        genome = G.new_minimal_genome(G.DISCRIMINATOR, rng, counter)
+        genome = G.new_minimal_genome(G.DISCRIMINATOR, rng, counter, config)
         for _ in range(trials):
-            genome_fresh = G.new_minimal_genome(G.DISCRIMINATOR, rng, counter)
-            _, events = V.mutate_with_events(genome_fresh, rates, rng, counter)
+            genome_fresh = G.new_minimal_genome(G.DISCRIMINATOR, rng, counter, config)
+            _, events = V.mutate_with_events(genome_fresh, config, rng, counter)
             for name, fired in events.items():
                 counts[name] += fired
             # also walk a single lineage to exercise the length bounds
-            genome, _ = V.mutate_with_events(genome, rates, rng, counter)
+            genome, _ = V.mutate_with_events(genome, config, rng, counter)
             lengths_ok = lengths_ok and 1 <= len(genome.genes) <= 6
         freqs = {k: v / trials for k, v in counts.items()}
         ok = (abs(freqs["add_layer"] - 0.20) <= 0.02
@@ -187,17 +188,17 @@ class TestCriterion5SpeciationControl:
 
         # one cluster: ten identical genomes
         one = cluster_population([[0, 1]] * 10)
-        species, _ = V.speciate(one, V.SpeciationState(threshold=2.0, target_species=3))
+        species, _ = V.speciate(one, 2.0, 3)
         recovered_one = len(species) == 1
 
         # three clusters, intra distance 0 and inter distance >= 4 > threshold
         three = cluster_population([[0, 1]] * 4 + [[10, 11]] * 3 + [[20, 21]] * 3)
-        species, _ = V.speciate(three, V.SpeciationState(threshold=2.0, target_species=3))
+        species, _ = V.speciate(three, 2.0, 3)
         recovered_three = len(species) == 3
 
         # ten singleton clusters with disjoint ids (pairwise distance >= 2)
         ten = cluster_population([[100 + 10 * i] for i in range(10)])
-        species, _ = V.speciate(ten, V.SpeciationState(threshold=1.5, target_species=3))
+        species, _ = V.speciate(ten, 1.5, 3)
         recovered_ten = len(species) == 10
 
         # adaptive loop on heterogeneous sizes reaches [2, 4] or pins
@@ -208,20 +209,20 @@ class TestCriterion5SpeciationControl:
             hetero_lists.append(list(range(base, base + size)))
             base += size
         hetero = cluster_population(hetero_lists)
-        state = V.SpeciationState(threshold=2.0, target_species=3)
+        threshold = 2.0
         adapted = False
         for _ in range(50):
-            species, state = V.speciate(hetero, state)
-            if 2 <= len(species) <= 4 or state.threshold == state.min_threshold:
+            species, threshold = V.speciate(hetero, threshold, 3)
+            if 2 <= len(species) <= 4 or threshold == V.MIN_THRESHOLD:
                 adapted = True
                 break
 
         # one-cluster population shrinks the threshold to the floor
-        state = V.SpeciationState(threshold=2.0, target_species=3)
+        threshold = 2.0
         pinned = False
         for _ in range(50):
-            _, state = V.speciate(one, state)
-            if state.threshold == state.min_threshold:
+            _, threshold = V.speciate(one, threshold, 3)
+            if threshold == V.MIN_THRESHOLD:
                 pinned = True
                 break
 
@@ -237,13 +238,14 @@ class TestCriterion6WeightTransfer:
     def test_hundred_random_mutations(self):
         rng = np.random.default_rng(606)
         counter = G.InnovationCounter()
-        rates = V.MutationRates(0.5, 0.3, 0.5)
+        config = E.RunConfig(add_layer_rate=0.5, remove_layer_rate=0.3, change_layer_rate=0.5,
+                             feature_range=(8, 24), channel_range=(4, 16))
         checked_copies = 0
         checked_fresh = 0
         ok = True
         for trial in range(100):
             role = G.DISCRIMINATOR if trial % 2 == 0 else G.GENERATOR
-            genome = G.new_minimal_genome(role, rng, counter, feature_range=(8, 24))
+            genome = G.new_minimal_genome(role, rng, counter, config)
             plan = G.infer_shapes(genome, (1, 8, 8), 8)
             _, store = B.build_network(genome, plan, rng=rng)
             # make the parent's training state distinctive
@@ -251,8 +253,7 @@ class TestCriterion6WeightTransfer:
                 entry.m_w += np.float32(0.5)
                 entry.v_b += np.float32(0.25)
                 entry.step = 17
-            child, _ = V.mutate_with_events(genome, rates, rng, counter,
-                                            feature_range=(8, 24), channel_range=(4, 16))
+            child, _ = V.mutate_with_events(genome, config, rng, counter)
             child_plan = G.infer_shapes(child, (1, 8, 8), 8)
             child_net, child_store = B.build_network(child, child_plan,
                                                      parent_store=store, rng=rng)

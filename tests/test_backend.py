@@ -3,6 +3,7 @@ import pytest
 
 from conftest import finite_diff_max_rel_err, make_genome
 from ganevo import backend as B
+from ganevo import experiment as E
 from ganevo import genome as G
 from ganevo import variation as V
 
@@ -36,7 +37,7 @@ class TestAdam:
         store = store_of(((3, 2), (3,)))
         (entry,) = store.entries.values()
         entry.weights[...] = 0.5
-        B.adam_step(store, B.AdamConfig())
+        B.adam_step(store, 0.001)
         assert np.all(entry.weights == 0.5)
         assert np.array_equal(entry.bias, np.zeros(3))
         assert entry.step == 1
@@ -47,7 +48,7 @@ class TestAdam:
         store = store_of(((1,), (1,)))
         (entry,) = store.entries.values()
         entry.grad_w[...] = 1.0
-        B.adam_step(store, B.AdamConfig())
+        B.adam_step(store, 0.001)
         expected = -0.001 * 1.0 / (np.sqrt(1.0) + 1e-8)
         assert entry.weights[0] == pytest.approx(expected, abs=1e-15)
         assert entry.weights[0] == pytest.approx(-0.000999999990, abs=1e-12)
@@ -60,7 +61,7 @@ class TestAdam:
         prev = 0.0
         for t in range(5):
             before = entry.weights[0]
-            B.adam_step(store, B.AdamConfig())
+            B.adam_step(store, 0.001)
             delta = entry.weights[0] - before
             assert delta == pytest.approx(deltas[t], rel=1e-12)
             if t > 0:
@@ -85,7 +86,7 @@ class TestAdam:
             fresh.grad_w[...] = fresh_grads[t]
             inherited.grad_w[...] = inherited_grads[t]
             w_fresh, w_inherited = fresh.weights.copy(), inherited.weights.copy()
-            B.adam_step(store, B.AdamConfig())
+            B.adam_step(store, 0.001)
             np.testing.assert_allclose(fresh.weights - w_fresh, expected_fresh[t], rtol=1e-12)
             np.testing.assert_allclose(inherited.weights - w_inherited,
                                        expected_inherited[t], rtol=1e-12)
@@ -294,14 +295,14 @@ class TestWeightTransferProperty:
         # after random mutations, exactly the genes with unchanged
         # (innovation id, shape signature) keep their parameters
         counter = G.InnovationCounter()
-        rates = V.MutationRates(0.5, 0.3, 0.5)
+        config = E.RunConfig(add_layer_rate=0.5, remove_layer_rate=0.3, change_layer_rate=0.5,
+                             feature_range=(8, 32), channel_range=(4, 16))
         for trial in range(40):
             role = G.DISCRIMINATOR if trial % 2 == 0 else G.GENERATOR
-            genome = G.new_minimal_genome(role, rng, counter, feature_range=(8, 32))
+            genome = G.new_minimal_genome(role, rng, counter, config)
             plan = G.infer_shapes(genome, (1, 8, 8), 10)
             net, store = B.build_network(genome, plan, rng=rng)
-            child, _ = V.mutate_with_events(genome, rates, rng, counter,
-                                            feature_range=(8, 32), channel_range=(4, 16))
+            child, _ = V.mutate_with_events(genome, config, rng, counter)
             child_plan = G.infer_shapes(child, (1, 8, 8), 10)
             child_net, child_store = B.build_network(child, child_plan,
                                                      parent_store=store, rng=rng)

@@ -297,8 +297,35 @@ class TestRunEvolution:
             assert checkpoint_contents(run) == checkpoint_contents(tmp_path / "full" / "run")
         # per checkpoint write: open and torn write of the params file and of
         # state.json, the replace, the removal of the previous params file;
-        # then the open and write of the final samples
+        # before the last one, the open and write of the final samples
         assert n - 1 == 2 * 6 + 2
+
+    def test_kill_in_final_generation_keeps_samples_whole(self, tmp_path, monkeypatch):
+        def files(directory):
+            return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+        E.run_evolution(tiny_config(tmp_path / "full", generations=3))
+        full = files(tmp_path / "full" / "run" / "samples")
+        E.run_evolution(tiny_config(tmp_path / "half", generations=2))
+        n = 0
+        while True:
+            n += 1
+            run = tmp_path / f"kill{n}" / "run"
+            shutil.copytree(tmp_path / "half" / "run", run)
+            fault = Fault(n)
+            with monkeypatch.context() as patched:
+                inject_faults(patched, fault)
+                try:
+                    E.resume_evolution(str(run / "checkpoint"), generations=3,
+                                       out_dir=str(run))
+                except OSError:
+                    pass
+            if fault.steps < n:
+                break  # the run finished: every write step of its last generation was hit
+            E.resume_evolution(str(run / "checkpoint"), generations=3, out_dir=str(run))
+            assert files(run / "samples") == full, f"fault at step {n}"
+        # the samples file's open and torn write, then the six checkpoint steps
+        assert n - 1 == 2 + 6
 
     def test_samples_dumped_for_ring_dataset(self, tmp_path):
         config = tiny_config(tmp_path, generations=1)

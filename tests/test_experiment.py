@@ -60,8 +60,9 @@ class TestConfigLoading:
             E.load_config(overrides={"momentum": 0.9})
 
     def test_out_of_range_rate_names_key(self):
-        with pytest.raises(E.ConfigError, match="add_layer_rate"):
-            E.load_config(overrides={"add_layer_rate": 1.5})
+        for key in ("add_layer_rate", "remove_layer_rate", "change_layer_rate"):
+            with pytest.raises(E.ConfigError, match=key):
+                E.load_config(overrides={key: 1.5})
 
     @pytest.mark.parametrize("key", ["learning_rate", "ring_radius", "ring_sigma"])
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
@@ -78,6 +79,56 @@ class TestConfigLoading:
             E.load_config(overrides={"batch_size": 0})
         with pytest.raises(E.ConfigError, match="generations"):
             E.load_config(overrides={"generations": -1})
+        with pytest.raises(E.ConfigError, match="batches_per_pair"):
+            E.load_config(overrides={"batches_per_pair": 0})
+
+    def test_every_way_of_building_is_checked(self):
+        cfg = E.load_config()
+        with pytest.raises(E.ConfigError, match="add_layer_rate"):
+            dataclasses.replace(cfg, add_layer_rate=2.0)
+        with pytest.raises(E.ConfigError, match="batch_size"):
+            E.RunConfig(batch_size=0)
+        with pytest.raises(E.ConfigError, match="species_target"):
+            E.config_from_dict(dict(dataclasses.asdict(cfg), species_target=0))
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", "8"), ("batch_size", 8.0), ("batch_size", True),
+        ("learning_rate", "0.1"), ("learning_rate", None), ("dataset", 3),
+        ("feature_range", (8, "16")), ("feature_range", (8, 16, 32)), ("channel_range", 8)])
+    def test_wrong_type_names_key(self, key, value):
+        with pytest.raises(E.ConfigError, match=key):
+            E.load_config(overrides={key: value})
+        record = dict(dataclasses.asdict(E.RunConfig()), **{key: value})
+        with pytest.raises(E.ConfigError, match=key):
+            E.config_from_dict(json.loads(json.dumps(record)))
+
+    def test_int_accepted_for_float(self):
+        cfg = E.load_config(overrides={"learning_rate": 1, "ring_radius": 3})
+        assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+        assert type(cfg.ring_radius) is float and cfg.ring_radius == 3.0
+        with pytest.raises(E.ConfigError, match="learning_rate"):
+            E.load_config(overrides={"learning_rate": 10 ** 400})
+
+    def test_invalid_utf8_names_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        with pytest.raises(E.ConfigError, match="run.cfg"):
+            E.load_config(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.tuples(st.sampled_from(sorted(E._DEFAULTS) + ["", "#x", "seed seed"]),
+                           st.sampled_from(["=", " = ", "", "=="]),
+                           st.text(max_size=12)), max_size=6).map(
+            lambda lines: "\n".join(k + sep + v for k, sep, v in lines).encode("utf-8"))))
+    def test_arbitrary_file_fails_only_with_config_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+        path.write_bytes(content)
+        try:
+            E.load_config(str(path))
+        except E.ConfigError:
+            pass
 
     def test_round_trip(self, tmp_path):
         cfg = E.load_config(overrides={"generations": 12, "learning_rate": 0.0005,
@@ -152,6 +203,23 @@ class TestIdxParsing:
         with pytest.raises(E.IdxFormatError, match=f"byte offset {offset}"):
             E.load_idx_dataset(str(path))
 
+    @settings(max_examples=500, deadline=None)
+    @given(magic=st.sampled_from([E.IDX_IMAGES_MAGIC, E.IDX_LABELS_MAGIC]),
+           header=st.lists(st.integers(0, 40), max_size=3),
+           tail=st.binary(max_size=64), prefix=st.booleans())
+    def test_arbitrary_bytes_fail_only_with_idx_format_error(self, tmp_path_factory, magic,
+                                                            header, tail, prefix):
+        # small header numbers so some inputs get past the size checks
+        data = (struct.pack(">I", magic) if prefix else b"") + b"".join(
+            struct.pack(">I", n) for n in header) + tail
+        path = tmp_path_factory.mktemp("idx") / "fuzz"
+        path.write_bytes(data)
+        try:
+            parsed = E._parse_idx(str(path), magic)
+        except E.IdxFormatError:
+            return
+        assert parsed.dtype == np.uint8
+
     def test_labels_parsed(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
         labels = np.array([7, 1, 2], dtype=np.uint8)
@@ -216,8 +284,7 @@ class TestRing2d:
         assert np.array_equal(source.next_batch(4), expected)
 
     def test_scaled_source_divides(self):
-        inner = E.Ring2dSource(1, 2.0, 0.0, np.random.default_rng(0))
-        scaled = E.ScaledSource(inner, 2.2)
+        scaled = E.Ring2dSource(1, 2.0, 0.0, np.random.default_rng(0), scale=2.2)
         batch = scaled.next_batch(4).reshape(4, 2)
         assert np.allclose(batch, [2.0 / 2.2, 0.0])
 
@@ -355,6 +422,30 @@ class TestCheckpointErrors:
         doc, blob, tmp = saved_checkpoint
         with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 1"):
             read_written(tmp / "v1", dict(doc, version=1), blob)
+
+    def test_version_two_rejected(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 2"):
+            read_written(tmp / "v2", dict(doc, version=2), blob)
+
+    def test_missing_top_level_key_named(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        read_written(tmp / "partial", doc, blob)
+        for key in doc:
+            partial = {k: v for k, v in doc.items() if k != key}
+            (tmp / "partial" / "state.json").write_text(json.dumps(partial))
+            with pytest.raises(E.CheckpointError, match="state.json"):
+                E.read_checkpoint(str(tmp / "partial"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_state_file_rejected(self, saved_checkpoint, data):
+        doc, blob, tmp = saved_checkpoint
+        read_written(tmp / "torn", doc, blob)
+        text = (tmp / "torn" / "state.json").read_bytes()
+        (tmp / "torn" / "state.json").write_bytes(text[:data.draw(st.integers(0, len(text) - 1))])
+        with pytest.raises(E.CheckpointError, match="state.json: not a JSON document"):
+            E.read_checkpoint(str(tmp / "torn"))
 
     def test_missing_params_file_named(self, saved_checkpoint):
         doc, blob, tmp = saved_checkpoint

@@ -110,27 +110,13 @@ class TestNoiseSource:
             gan.NoiseSource(0)
 
 
-class TestTrainingBudget:
-    def test_defaults(self):
-        budget = gan.TrainingBudget()
-        assert budget.batches_per_pair == 20
-        assert budget.batch_size == 64
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gan.TrainingBudget(batches_per_pair=0)
-        with pytest.raises(ValueError):
-            gan.TrainingBudget(batch_size=0)
-
-
 def _setup_pair(seed, data_shape=(1, 1, 2), noise_dim=8):
     rng = np.random.default_rng(seed)
     d_genome = make_genome(G.DISCRIMINATOR, [(0, G.LINEAR, 16, "leaky_relu")])
     g_genome = make_genome(G.GENERATOR, [(1, G.LINEAR, 16, "relu")])
     d = build_individual(10, d_genome, data_shape, noise_dim, rng)
     g = build_individual(11, g_genome, data_shape, noise_dim, rng)
-    source = E.ScaledSource(
-        E.Ring2dSource(4, 1.0, 0.05, np.random.default_rng(seed + 1)), 1.1)
+    source = E.Ring2dSource(4, 1.0, 0.05, np.random.default_rng(seed + 1), scale=1.1)
     noise = gan.NoiseSource(noise_dim, np.random.default_rng(seed + 2))
     return d, g, source, noise
 
@@ -138,8 +124,8 @@ def _setup_pair(seed, data_shape=(1, 1, 2), noise_dim=8):
 class TestTrainPair:
     def test_single_batch_advances_each_step_counter_once(self):
         d, g, source, noise = _setup_pair(0)
-        budget = gan.TrainingBudget(batches_per_pair=1, batch_size=8)
-        outcome = gan.train_pair(d, g, source, budget, B.AdamConfig(), noise)
+        config = E.RunConfig(batches_per_pair=1, batch_size=8)
+        outcome = gan.train_pair(d, g, source, config, noise)
         for store in (d.param_store, g.param_store):
             for entry in store.entries.values():
                 assert entry.step == 1
@@ -151,9 +137,8 @@ class TestTrainPair:
         data_state = source.state()
         noise_state = noise.state()
         weights_before = {k: e.weights.copy() for k, e in d.param_store.entries.items()}
-        budget = gan.TrainingBudget(batches_per_pair=3, batch_size=8)
-        outcome = gan.train_pair(d, g, source, budget, B.AdamConfig(learning_rate=0.0),
-                                 noise)
+        config = E.RunConfig(batches_per_pair=3, batch_size=8, learning_rate=0.0)
+        outcome = gan.train_pair(d, g, source, config, noise)
         for key, before in weights_before.items():
             assert np.array_equal(d.param_store.get(key).weights, before)
         # replay the same stream and evaluate the losses directly
@@ -175,15 +160,15 @@ class TestTrainPair:
         outcomes = []
         for _ in range(2):
             d, g, source, noise = _setup_pair(42)
-            budget = gan.TrainingBudget(batches_per_pair=2, batch_size=8)
-            outcomes.append(gan.train_pair(d, g, source, budget, B.AdamConfig(), noise))
+            config = E.RunConfig(batches_per_pair=2, batch_size=8)
+            outcomes.append(gan.train_pair(d, g, source, config, noise))
         assert outcomes[0] == outcomes[1]
 
     def test_training_changes_parameters(self):
         d, g, source, noise = _setup_pair(7)
         g_before = {k: e.weights.copy() for k, e in g.param_store.entries.items()}
-        budget = gan.TrainingBudget(batches_per_pair=2, batch_size=8)
-        gan.train_pair(d, g, source, budget, B.AdamConfig(), noise)
+        config = E.RunConfig(batches_per_pair=2, batch_size=8)
+        gan.train_pair(d, g, source, config, noise)
         changed = any(not np.array_equal(g.param_store.get(k).weights, w)
                       for k, w in g_before.items())
         assert changed
@@ -192,13 +177,13 @@ class TestTrainPair:
         d, g, source, noise = _setup_pair(3)
         d.network = None
         with pytest.raises(ValueError):
-            gan.train_pair(d, g, source, gan.TrainingBudget(1, 4), B.AdamConfig(), noise)
+            gan.train_pair(d, g, source, E.RunConfig(batches_per_pair=1, batch_size=4), noise)
 
 
 class TestGenerateSamples:
     def test_batched_generation_counts(self):
         _, g, _, noise = _setup_pair(5)
-        samples = gan.generate_samples(g.network, noise, 25, batch_size=8)
+        samples = gan.generate_samples(g.network, noise, 25, chunk=8)
         assert samples.shape == (25, 1, 1, 2)
 
     def test_outputs_within_tanh_range(self):

@@ -4,38 +4,41 @@ import numpy as np
 import pytest
 
 from conftest import linear_genome, make_genome
+from ganevo import experiment as E
 from ganevo import genome as G
 from ganevo import variation as V
 
 
 class TestMinimalGenome:
     def test_discriminator_minimal(self, rng):
-        genome = G.new_minimal_genome(G.DISCRIMINATOR, rng, G.InnovationCounter())
+        genome = G.new_minimal_genome(G.DISCRIMINATOR, rng, G.InnovationCounter(), E.RunConfig())
         assert len(genome.genes) == 1
         assert genome.genes[0].kind == G.LINEAR
         assert G.validate(genome) == []
 
     def test_generator_minimal(self, rng):
-        genome = G.new_minimal_genome(G.GENERATOR, rng, G.InnovationCounter())
+        genome = G.new_minimal_genome(G.GENERATOR, rng, G.InnovationCounter(), E.RunConfig())
         assert len(genome.genes) == 1
         assert genome.genes[0].kind == G.LINEAR
         assert G.validate(genome) == []
 
     def test_distinct_innovation_ids(self):
         counter = G.InnovationCounter()
-        a = G.new_minimal_genome(G.DISCRIMINATOR, np.random.default_rng(1), counter)
-        b = G.new_minimal_genome(G.DISCRIMINATOR, np.random.default_rng(2), counter)
+        a = G.new_minimal_genome(G.DISCRIMINATOR, np.random.default_rng(1), counter,
+                                  E.RunConfig())
+        b = G.new_minimal_genome(G.DISCRIMINATOR, np.random.default_rng(2), counter,
+                                  E.RunConfig())
         assert a.genes[0].innovation_id != b.genes[0].innovation_id
 
     def test_units_within_range(self, rng):
         for _ in range(50):
             genome = G.new_minimal_genome(G.GENERATOR, rng, G.InnovationCounter(),
-                                          feature_range=(32, 1024))
+                                          E.RunConfig(feature_range=(32, 1024)))
             assert 32 <= genome.genes[0].units <= 1024
 
     def test_unknown_role(self, rng):
         with pytest.raises(ValueError):
-            G.new_minimal_genome("critic", rng, G.InnovationCounter())
+            G.new_minimal_genome("critic", rng, G.InnovationCounter(), E.RunConfig())
 
 
 class TestDistance:
@@ -71,7 +74,8 @@ class TestDistance:
 
 class TestValidate:
     def test_minimal_ok(self, rng):
-        assert G.validate(G.new_minimal_genome(G.DISCRIMINATOR, rng, G.InnovationCounter())) == []
+        genome = G.new_minimal_genome(G.DISCRIMINATOR, rng, G.InnovationCounter(), E.RunConfig())
+        assert G.validate(genome) == []
 
     def test_linear_before_conv_is_ordering_violation(self):
         genome = make_genome(G.DISCRIMINATOR, [
@@ -194,11 +198,11 @@ class TestInferShapesGenerator:
 
 class TestShapePlanProperties:
     def _random_valid_genome(self, role, rng):
-        genome = G.new_minimal_genome(role, rng, counter=G.InnovationCounter(1000))
-        rates = V.MutationRates(0.6, 0.2, 0.3)
+        config = E.RunConfig(add_layer_rate=0.6, remove_layer_rate=0.2, change_layer_rate=0.3)
+        genome = G.new_minimal_genome(role, rng, G.InnovationCounter(1000), config)
         counter = G.InnovationCounter(2000)
         for _ in range(int(rng.integers(0, 8))):
-            genome, _ = V.mutate_with_events(genome, rates, rng, counter)
+            genome, _ = V.mutate_with_events(genome, config, rng, counter)
         return genome
 
     @pytest.mark.parametrize("role,data_shape", [

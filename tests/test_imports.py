@@ -1,13 +1,17 @@
-"""Import-graph guard: the package's modules import each other one way only,
-and every import is a module-level statement."""
+"""Package-structure guards: the modules import each other one way only,
+every import is a module-level statement, and run parameters have one home."""
 
 import ast
+import dataclasses
 import graphlib
+import importlib
+import inspect
 import pathlib
 
 import pytest
 
 import ganevo
+from ganevo.experiment import RunConfig
 
 PACKAGE = pathlib.Path(ganevo.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -56,3 +60,30 @@ def test_every_import_is_at_module_level(name):
     nested = [node.lineno for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
     assert nested == [], f"{name}.py imports inside a function or block at lines {nested}"
+
+
+def test_no_default_restates_a_run_parameter():
+    """Only RunConfig gives run parameters their values: no other function or
+    class of the package defaults a parameter or field named like one of its
+    fields.  A None default ("not given, take the config's") is allowed."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    found = []
+    for name in MODULES:
+        module = importlib.import_module(f"ganevo.{name}" if name != "__init__" else "ganevo")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__ or obj is RunConfig:
+                continue
+            if inspect.isclass(obj):
+                members = [getattr(obj, attr) for attr in vars(obj)]
+                callables = [m for m in members if inspect.isfunction(m) or inspect.ismethod(m)]
+            elif inspect.isfunction(obj):
+                callables = [obj]
+            else:
+                continue
+            for fn in callables:
+                for param in inspect.signature(fn).parameters.values():
+                    if (param.name in fields and param.default is not param.empty
+                            and param.default is not None):
+                        found.append(f"{module.__name__}.{fn.__qualname__}"
+                                     f"({param.name}={param.default!r})")
+    assert found == []

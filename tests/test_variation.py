@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import linear_genome, make_genome
+from ganevo import experiment as E
 from ganevo import genome as G
 from ganevo import variation as V
 
 
 def forced(add=0.0, remove=0.0, change=0.0):
-    return V.MutationRates(add_layer=add, remove_layer=remove, change_layer=change)
+    return E.RunConfig(add_layer_rate=add, remove_layer_rate=remove, change_layer_rate=change)
 
 
 def ids_of(genome):
@@ -65,11 +66,11 @@ class TestMutate:
     @pytest.mark.parametrize("role", [G.DISCRIMINATOR, G.GENERATOR])
     def test_mutation_chains_always_validate(self, role, rng):
         counter = G.InnovationCounter()
-        rates = V.MutationRates(0.5, 0.3, 0.4)
+        config = forced(0.5, 0.3, 0.4)
         for _ in range(60):
-            genome = G.new_minimal_genome(role, rng, counter)
+            genome = G.new_minimal_genome(role, rng, counter, config)
             for _ in range(10):
-                genome, _ = V.mutate_with_events(genome, rates, rng, counter)
+                genome, _ = V.mutate_with_events(genome, config, rng, counter)
                 assert G.validate(genome, feature_range=(32, 1024),
                                   channel_range=(16, 128)) == []
                 assert 1 <= len(genome.genes) <= 6
@@ -88,7 +89,7 @@ class TestMutate:
 class TestMutationRateStatistics:
     def test_table_rates_within_tolerance(self):
         rng = np.random.default_rng(8)
-        freqs = V.mutation_rate_statistics(V.MutationRates(0.2, 0.1, 0.1), 10_000, rng)
+        freqs = V.mutation_rate_statistics(forced(0.2, 0.1, 0.1), 10_000, rng)
         assert abs(freqs["add_layer"] - 0.2) <= 0.02
         assert abs(freqs["remove_layer"] - 0.1) <= 0.02
         assert abs(freqs["change_layer"] - 0.1) <= 0.02
@@ -128,60 +129,55 @@ class TestSpeciate:
     def test_identical_genomes_single_species(self):
         inds = [FakeIndividual(i, linear_genome(G.DISCRIMINATOR, [1, 2]))
                 for i in range(5)]
-        state = V.SpeciationState(threshold=2.0, target_species=3)
-        species, new_state = V.speciate(inds, state)
+        species, threshold = V.speciate(inds, 2.0, 3)
         assert len(species) == 1
         assert sorted(species[0].members) == [0, 1, 2, 3, 4]
-        assert new_state.threshold == pytest.approx(1.8)  # decreased: 1 < 3
+        assert threshold == pytest.approx(1.8)  # decreased: 1 < 3
 
     def test_three_well_separated_clusters(self):
         # intra-cluster distance 0, inter-cluster distance >= 4 > threshold
         clusters = [[0, 1], [10, 11], [20, 21]]
         genomes = [linear_genome(G.DISCRIMINATOR, c) for c in clusters for _ in range(3)]
         inds = [FakeIndividual(i, g) for i, g in enumerate(genomes)]
-        state = V.SpeciationState(threshold=2.0, target_species=3)
-        species, new_state = V.speciate(inds, state)
+        species, threshold = V.speciate(inds, 2.0, 3)
         assert len(species) == 3
         assert len(species) == brute_force_cluster_count([i.genome for i in inds], 2.0)
-        assert new_state.threshold == pytest.approx(2.0)  # on target
+        assert threshold == pytest.approx(2.0)  # on target
 
     def test_ten_singletons_grow_threshold(self):
         inds = [FakeIndividual(i, linear_genome(G.DISCRIMINATOR, [10 * i, 10 * i + 1]))
                 for i in range(10)]
-        state = V.SpeciationState(threshold=2.0, target_species=3)
-        species, new_state = V.speciate(inds, state)
+        species, threshold = V.speciate(inds, 2.0, 3)
         assert len(species) == 10
-        assert new_state.threshold == pytest.approx(2.2)
+        assert threshold == pytest.approx(2.2)
 
     def test_members_within_threshold_of_representative(self, rng):
         counter = G.InnovationCounter()
         genomes = []
         for _ in range(12):
-            g = G.new_minimal_genome(G.DISCRIMINATOR, rng, counter)
+            g = G.new_minimal_genome(G.DISCRIMINATOR, rng, counter, forced())
             for _ in range(int(rng.integers(0, 4))):
-                g, _ = V.mutate_with_events(g, V.MutationRates(0.8, 0.1, 0.1), rng, counter)
+                g, _ = V.mutate_with_events(g, forced(0.8, 0.1, 0.1), rng, counter)
             genomes.append(g)
         inds = [FakeIndividual(i, g) for i, g in enumerate(genomes)]
-        state = V.SpeciationState(threshold=3.0)
-        species, _ = V.speciate(inds, state)
+        species, _ = V.speciate(inds, 3.0, 3)
         by_id = {i.id: i.genome for i in inds}
         seen = []
         for sp in species:
             assert sp.members
             for member in sp.members:
-                assert G.distance(by_id[member], sp.representative) <= state.threshold
+                assert G.distance(by_id[member], sp.representative) <= 3.0
             seen.extend(sp.members)
         assert sorted(seen) == list(range(12))  # exactly one species each
 
     def test_threshold_floor(self):
         inds = [FakeIndividual(0, linear_genome(G.DISCRIMINATOR, [1]))]
-        state = V.SpeciationState(threshold=0.55, target_species=3)
-        _, new_state = V.speciate(inds, state)
-        assert new_state.threshold == V.MIN_THRESHOLD
+        _, threshold = V.speciate(inds, 0.55, 3)
+        assert threshold == V.MIN_THRESHOLD
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            V.speciate([], V.SpeciationState())
+            V.speciate([], V.DEFAULT_THRESHOLD, 3)
 
     def test_adaptive_loop_reaches_target_band(self):
         # heterogeneous sizes make intermediate species counts reachable
@@ -192,11 +188,11 @@ class TestSpeciate:
             genomes.append(linear_genome(G.DISCRIMINATOR, list(range(base, base + size))))
             base += size
         inds = [FakeIndividual(i, g) for i, g in enumerate(genomes)]
-        state = V.SpeciationState(threshold=2.0, target_species=3)
+        threshold = 2.0
         hit = False
         for _ in range(50):
-            species, state = V.speciate(inds, state)
-            if 2 <= len(species) <= 4 or state.threshold == state.min_threshold:
+            species, threshold = V.speciate(inds, threshold, 3)
+            if 2 <= len(species) <= 4 or threshold == V.MIN_THRESHOLD:
                 hit = True
                 break
         assert hit
@@ -295,10 +291,8 @@ class TestNextGeneration:
             ids_lists = [[int(rng.integers(0, 5))] for _ in range(n)]
             values = [float(rng.random()) for _ in range(n)]
             inds, fitness = self._population(ids_lists, values)
-            state = V.SpeciationState(threshold=1.0)
-            species, _ = V.speciate(inds, state)
-            offspring = V.next_generation(inds, species, fitness,
-                                          V.MutationRates(0.4, 0.2, 0.2), rng,
+            species, _ = V.speciate(inds, 1.0, 3)
+            offspring = V.next_generation(inds, species, fitness, forced(0.4, 0.2, 0.2), rng,
                                           counter=G.InnovationCounter(1000 * trial + 100))
             assert len(offspring) == n
             for off in offspring:
@@ -307,7 +301,7 @@ class TestNextGeneration:
 
     def test_elites_bit_identical(self, rng):
         inds, fitness = self._population([[0], [0], [9], [9]], [2.0, 1.0, 4.0, 3.0])
-        species, _ = V.speciate(inds, V.SpeciationState(threshold=1.0))
+        species, _ = V.speciate(inds, 1.0, 3)
         offspring = V.next_generation(inds, species, fitness, forced(add=1.0), rng,
                                       counter=G.InnovationCounter(500))
         elites = [o for o in offspring if o.elite]
