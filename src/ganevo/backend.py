@@ -5,6 +5,14 @@ forward and backward passes (convolutions via im2col, so gradients are exact
 and checkable against finite differences), Adam updates, and parameter
 transfer between generations.
 
+Convolutions are one einsum GEMM each.  Where its output is scattered back
+onto an image (the transpose-conv forward, the conv input gradient),
+`_col2im` takes it in the (N, out_h*out_w, C*k*k) order the GEMM writes and
+adds the taps into a channels-last canvas before one copy to C-contiguous
+NCHW; the result is bit-identical to an NCHW scatter.  Activations avoid
+boolean-mask indexing, and Adam applies one bias-corrected update per run of
+entries that share a step count.
+
 Trained state lives in a ParamStore, one array per network, keyed by
 (innovation id, shape signature).  Building a network against a parent store
 copies every entry whose key is unchanged, which is the mechanism that
@@ -71,19 +79,33 @@ class ParamStore:
 
 def adam_step(store: ParamStore, learning_rate: float) -> None:
     """One Adam update of every entry, in place: both moment rows in one pass
-    over the buffer, then each entry's bias-corrected update with its own step
-    count, since inherited and fresh entries of one network differ in it."""
+    over the buffer, then one bias-corrected update per run of contiguous
+    entries that share a step count (inherited and fresh entries of one
+    network differ in it)."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     params, m, v, g = store.data
+    tmp = np.multiply(g, 1.0 - b1)
     m *= b1
-    m += (1.0 - b1) * g
+    m += tmp
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
     v *= b2
-    v += (1.0 - b2) * g * g
+    v += tmp
     for entry in store.entries.values():
         entry.step += 1
-        m_hat = m[entry.span] / (1.0 - b1 ** entry.step)
-        v_hat = v[entry.span] / (1.0 - b2 ** entry.step)
-        params[entry.span] -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    v_hat = np.empty_like(tmp)
+    # entries are in column order, so a run of equal steps is one column range
+    for step, run in itertools.groupby(store.entries.values(), lambda e: e.step):
+        run = list(run)
+        start, stop = run[0].span.start, run[-1].span.stop
+        m_hat, v_hat_run = tmp[start:stop], v_hat[start:stop]
+        np.divide(m[start:stop], 1.0 - b1 ** step, out=m_hat)
+        np.divide(v[start:stop], 1.0 - b2 ** step, out=v_hat_run)
+        np.sqrt(v_hat_run, out=v_hat_run)
+        v_hat_run += ADAM_EPSILON
+        m_hat *= learning_rate
+        m_hat /= v_hat_run
+        params[start:stop] -= m_hat
 
 
 # -- convolution plumbing -------------------------------------------------
@@ -100,16 +122,25 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
 
 
 def _col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Scatter-add inverse of _im2col back onto an (N, C, H, W) canvas."""
+    """Scatter-add inverse of _im2col: (N, out_h*out_w, C*k*k) columns, in
+    the order the GEMM writes them, onto a C-contiguous (N, C, H, W) array.
+
+    The taps are added into a channels-last canvas, so each add runs over
+    whole channel rows; every pixel sums its taps in the same order as an
+    NCHW canvas would, so the result is bit-identical to one.  The returned
+    array is C-contiguous NCHW because a channels-last view would reorder
+    later reductions (bias gradients, FID moments) and change their bits.
+    """
     n, c, h, w = x_shape
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    cols = cols.reshape(n, c, kernel, kernel, oh, ow)
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    cols = cols.reshape(n, oh, ow, c, kernel, kernel)
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
     for i in range(kernel):
         for j in range(kernel):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    return xp[:, :, padding:padding + h, padding:padding + w]
+            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[..., i, j]
+    del cols  # the caller holds no reference: free the columns before the copy
+    return np.ascontiguousarray(
+        xp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
 
 
 def _conv_out_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
@@ -173,8 +204,8 @@ class ConvLayer:
                                  optimize=True).reshape(self.entry.weights.shape)
         self.grad_b += dy.sum(axis=(0, 2, 3))
         w_mat = self.entry.weights.reshape(out_c, -1)
-        dcols = np.einsum("of,nol->nfl", w_mat, dy_mat, optimize=True)
-        return _col2im(dcols, self._x_shape, self.kernel, self.stride, self.padding)
+        return _col2im(np.einsum("of,nol->nlf", w_mat, dy_mat, optimize=True),
+                       self._x_shape, self.kernel, self.stride, self.padding)
 
 
 class ConvTransposeLayer:
@@ -203,8 +234,8 @@ class ConvTransposeLayer:
         oh, ow = self._out_hw(h, w)
         x_mat = x.reshape(n, in_c, h * w)
         w_mat = self.entry.weights.reshape(in_c, -1)
-        cols = np.einsum("if,nil->nfl", w_mat, x_mat, optimize=True)
-        y = _col2im(cols, (n, out_c, oh, ow), self.kernel, self.stride, self.padding)
+        y = _col2im(np.einsum("if,nil->nlf", w_mat, x_mat, optimize=True),
+                    (n, out_c, oh, ow), self.kernel, self.stride, self.padding)
         y += self.entry.bias[None, :, None, None]
         if train:
             self._x_mat = x_mat
@@ -234,7 +265,9 @@ class ActivationOp:
             y = np.maximum(x, 0)
             cache = x
         elif self.name == "leaky_relu":
-            y = np.where(x > 0, x, LEAKY_SLOPE * x)
+            # slope-scaled operand first: a NaN input comes back quieted,
+            # exactly as from np.where(x > 0, x, LEAKY_SLOPE * x)
+            y = np.maximum(LEAKY_SLOPE * x, x)
             cache = x
         elif self.name == "elu":
             y = np.where(x > 0, x, ELU_ALPHA * np.expm1(x))
@@ -267,12 +300,11 @@ class ActivationOp:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
+    overflow and without boolean-mask indexing."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class SigmoidHead:

@@ -54,6 +54,12 @@ RING_SCALE_MARGIN = 1.1
 
 CHECKPOINT_VERSION = 3
 
+# The JSON type of each top-level state.json value that write_checkpoint writes.
+_STATE_TYPES = {"version": int, "config": dict, "generation": int,
+                "next_individual_id": int, "next_innovation_id": int,
+                "prev_best": dict, "speciation": dict, "rng": dict, "noise": dict,
+                "data": dict, "params_file": dict, "populations": dict}
+
 
 class ConfigError(ValueError):
     """Configuration problem; the message names the offending key."""
@@ -542,14 +548,22 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
 
 def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     """Inverse of write_checkpoint; raises CheckpointError, naming the file,
-    on a state.json that is not JSON or lacks a key, an unsupported version,
-    or a params file that does not match its layouts."""
+    on a state.json that is not JSON, is not an object, lacks a key or holds
+    a top-level value of the wrong type, an unsupported version, or a params
+    file that does not match its layouts."""
     state_file = os.path.join(ckpt, "state.json")
     with open(state_file, "rb") as fh:
         try:
             doc = json.loads(fh.read())
         except ValueError as exc:
             raise CheckpointError(f"{state_file}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{state_file}: a JSON {type(doc).__name__}, not an object")
+    for key, kind in _STATE_TYPES.items():
+        # type(), not isinstance: JSON true is not a number here
+        if key in doc and type(doc[key]) is not kind:
+            raise CheckpointError(f"{state_file}: {key!r} is a JSON "
+                                  f"{type(doc[key]).__name__}, expected {kind.__name__}")
     try:
         return _state_from_doc(doc, ckpt, state_file)
     except KeyError as exc:
@@ -590,13 +604,13 @@ def _state_from_doc(doc: dict, ckpt: str,
     data_source.restore(doc["data"])
 
     state = EvolutionState(
-        generation=int(doc["generation"]),
+        generation=doc["generation"],
         generators=populations["generators"],
         discriminators=populations["discriminators"],
         threshold_g=float(doc["speciation"]["generator"]),
         threshold_d=float(doc["speciation"]["discriminator"]),
-        next_individual_id=int(doc["next_individual_id"]),
-        innovations=InnovationCounter(int(doc["next_innovation_id"])),
+        next_individual_id=doc["next_individual_id"],
+        innovations=InnovationCounter(doc["next_innovation_id"]),
         rng=rng,
         train_noise=train_noise,
         eval_noise=eval_noise,

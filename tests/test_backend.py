@@ -94,6 +94,30 @@ class TestAdam:
         # zero gradients and zero moments leave the biases where they were
         assert np.all(fresh.bias == 0) and np.all(inherited.bias == 0)
 
+    def test_runs_of_shared_steps(self, rng):
+        # entries at steps 0, 0, 17, 17, 3: three runs of contiguous entries,
+        # each entry on its own closed-form recurrence
+        shapes = [((2, 3), (2,)), ((4,), (1,)), ((3, 1), (3,)), ((5,), (2,)), ((2, 2), (2,))]
+        store = store_of(*shapes)
+        entries = list(store.entries.values())
+        starts = [0, 0, 17, 17, 3]
+        expected = []
+        for entry, step in zip(entries, starts):
+            entry.step = step
+            m, v = (0.3, 0.2) if step else (0.0, 0.0)
+            entry.m_w[...], entry.v_w[...] = m, v
+            grads = rng.standard_normal((3,) + entry.grad_w.shape)
+            expected.append((grads, adam_deltas(grads, m=m, v=v, step=step)))
+        for t in range(3):
+            before = [entry.weights.copy() for entry in entries]
+            for entry, (grads, _) in zip(entries, expected):
+                entry.grad_w[...] = grads[t]
+            B.adam_step(store, 0.001)
+            for entry, w, (_, deltas) in zip(entries, before, expected):
+                np.testing.assert_allclose(entry.weights - w, deltas[t], rtol=1e-12)
+        assert [entry.step for entry in entries] == [3, 3, 20, 20, 6]
+        assert not store.data[0, [e.span.stop - 1 for e in entries]].any()  # biases
+
 
 class TestInitialization:
     def test_uniform_bounds_and_zero_bias(self, rng):
@@ -314,3 +338,107 @@ class TestWeightTransferProperty:
                 assert np.array_equal(child_store.get(key).weights,
                                       store.get(key).weights)
             genome = child
+
+
+def col2im_nchw(cols, x_shape, kernel, stride, padding):
+    """The NCHW scatter-add over (N, C*k*k, out_h*out_w) columns that
+    `B._col2im` must match bit for bit."""
+    n, c, h, w = x_shape
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    cols = cols.reshape(n, c, kernel, kernel, oh, ow)
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+    return xp[:, :, padding:padding + h, padding:padding + w]
+
+
+SPATIAL = [(1, 1), (1, 2), (2, 2), (7, 7), (14, 14)]
+
+
+def random_layer_case(rng, shape_w, shape_b, x_shape):
+    entry = entry_of(shape_w, shape_b, dtype=np.float32)
+    entry.weights[...] = rng.standard_normal(shape_w)
+    entry.bias[...] = rng.standard_normal(shape_b)
+    return entry, rng.standard_normal(x_shape).astype(np.float32)
+
+
+class TestConvLayout:
+    """The transpose-conv forward and the conv input gradient match the
+    einsum-plus-NCHW-scatter formulation bit for bit and are C-contiguous."""
+
+    @pytest.mark.parametrize("hw", SPATIAL)
+    def test_transpose_conv_forward(self, hw):
+        rng = np.random.default_rng(hw[0] * 100 + hw[1])
+        for _ in range(6):
+            n, in_c, out_c = rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 40)
+            entry, x = random_layer_case(rng, (in_c, out_c, 4, 4), (out_c,), (n, in_c) + hw)
+            y = B.ConvTransposeLayer(entry, 4, 2, 1).forward(x, train=False)
+            cols = np.einsum("if,nil->nfl", entry.weights.reshape(in_c, -1),
+                             x.reshape(n, in_c, -1), optimize=True)
+            expected = col2im_nchw(cols, (n, out_c, 2 * hw[0], 2 * hw[1]), 4, 2, 1)
+            expected += entry.bias[None, :, None, None]
+            assert y.flags.c_contiguous
+            assert np.array_equal(y, expected)
+
+    @pytest.mark.parametrize("hw", SPATIAL)
+    @pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), (3, 1, 1), (1, 1, 0)])
+    def test_conv_backward(self, hw, kernel, stride, padding):
+        rng = np.random.default_rng(hw[0] * 100 + hw[1] + 10 * kernel + stride)
+        for _ in range(4):
+            n, in_c, out_c = rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 40)
+            entry, x = random_layer_case(rng, (out_c, in_c, kernel, kernel), (out_c,),
+                                         (n, in_c) + hw)
+            layer = B.ConvLayer(entry, kernel, stride, padding)
+            y = layer.forward(x, train=True)
+            dy = rng.standard_normal(y.shape).astype(np.float32)
+            dx = layer.backward(dy)
+            dcols = np.einsum("of,nol->nfl", entry.weights.reshape(out_c, -1),
+                              dy.reshape(n, out_c, -1), optimize=True)
+            assert dx.flags.c_contiguous
+            assert np.array_equal(dx, col2im_nchw(dcols, x.shape, kernel, stride, padding))
+
+
+SPECIAL_VALUES = np.concatenate([
+    np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45, 1e-40, -1e-40,
+              1.2e-38, -1.2e-38, 101.0, -101.0, 150.0, -150.0, 1e30, -1e30], np.float32),
+    # NaNs with payloads, quiet and signalling
+    np.array([0x7FC00001, 0xFFC00001, 0x7F800001, 0xFF800123], np.uint32).view(np.float32),
+])
+
+
+def leaky_relu_where(x):
+    return np.where(x > 0, x, B.LEAKY_SLOPE * x)
+
+
+def sigmoid_masked(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestActivationBytes:
+    """The branch-free activations give the same bytes as the masked forms
+    they replaced, special values included."""
+
+    @pytest.mark.parametrize("shape", [(64,), (64, 128), (64, 64, 28, 28)])
+    def test_same_bytes_as_masked_forms(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = (rng.standard_normal(shape) * 50).astype(np.float32)
+        flat = x.reshape(-1)
+        flat[:SPECIAL_VALUES.size] = SPECIAL_VALUES
+        flat[-SPECIAL_VALUES.size:] = SPECIAL_VALUES[::-1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            pairs = [
+                (B.ActivationOp("leaky_relu").forward(x, train=False), leaky_relu_where(x)),
+                (B.ActivationOp("sigmoid").forward(x, train=False), sigmoid_masked(x)),
+                (B.SigmoidHead().forward(x, train=False),
+                 np.clip(sigmoid_masked(x), B.PROB_CLIP, 1.0 - B.PROB_CLIP)),
+            ]
+        for got, expected in pairs:
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()

@@ -411,6 +411,11 @@ def read_written(directory, doc, blob):
 LAYOUT_VALUES = st.one_of(st.integers(-3, 2 ** 40), st.floats(allow_nan=False),
                           st.booleans(), st.none())
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
 
 class TestCheckpointErrors:
     def test_intact_checkpoint_reads(self, saved_checkpoint):
@@ -436,6 +441,30 @@ class TestCheckpointErrors:
             (tmp / "partial" / "state.json").write_text(json.dumps(partial))
             with pytest.raises(E.CheckpointError, match="state.json"):
                 E.read_checkpoint(str(tmp / "partial"))
+
+    def test_float_version_rejected(self, saved_checkpoint):
+        # 3.0 == CHECKPOINT_VERSION in Python, but it is not what was written
+        doc, blob, tmp = saved_checkpoint
+        with pytest.raises(E.CheckpointError, match="state.json: 'version' is a JSON float"):
+            read_written(tmp / "v3f", dict(doc, version=float(E.CHECKPOINT_VERSION)), blob)
+
+    def test_not_an_object_rejected(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        read_written(tmp / "array", doc, blob)
+        (tmp / "array" / "state.json").write_text("[]")
+        with pytest.raises(E.CheckpointError, match="state.json: a JSON list, not an object"):
+            E.read_checkpoint(str(tmp / "array"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_top_level_value_of_another_type_named(self, saved_checkpoint, data):
+        doc, blob, tmp = saved_checkpoint
+        read_written(tmp / "retyped", doc, blob)
+        key = data.draw(st.sampled_from(sorted(doc)))
+        value = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(doc[key])))
+        (tmp / "retyped" / "state.json").write_text(json.dumps(dict(doc, **{key: value})))
+        with pytest.raises(E.CheckpointError, match="state.json"):
+            E.read_checkpoint(str(tmp / "retyped"))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
