@@ -288,7 +288,8 @@ class ActivationOp:
         if self.name == "relu":
             return dy * (self._cache > 0)
         if self.name == "leaky_relu":
-            return dy * np.where(self._cache > 0, 1.0, LEAKY_SLOPE).astype(dy.dtype)
+            one, slope = dy.dtype.type(1), dy.dtype.type(LEAKY_SLOPE)
+            return dy * np.where(self._cache > 0, one, slope)
         if self.name == "elu":
             x, y = self._cache
             return dy * np.where(x > 0, 1.0, y + ELU_ALPHA).astype(dy.dtype)
@@ -384,10 +385,8 @@ class SqueezeOp:
 class NetworkInstance:
     """Concrete network built from a shape plan over a ParamStore."""
 
-    role: str
     ops: list
     input_shape: tuple[int, ...]
-    output_shape: tuple[int, ...]
     dtype: np.dtype
     store: ParamStore
     copied_gene_ids: frozenset[int] = field(default_factory=frozenset)
@@ -435,63 +434,49 @@ def build_network(
     everything else gets Uniform(-a, a) weights with a = sqrt(1/fan_in) from
     `rng` and zero bias.
     """
-    plan_ids = [lp.gene_id for lp in plan.layers]
     genome_ids = [g.innovation_id for g in genome.genes]
-    if plan_ids != genome_ids:
+    if [lp.gene_id for lp in plan.layers] != genome_ids + [ADAPTER_ID]:
         raise ValueError("shape plan does not match genome gene sequence")
     if rng is None:
         rng = np.random.default_rng(0)
-    ad = plan.adapter
-    shapes = [(lp.gene_id, lp.weight_shape, lp.bias_shape, lp.fan_in) for lp in plan.layers]
-    shapes.append((ADAPTER_ID, ad.weight_shape, ad.bias_shape, ad.fan_in))
-    keys = [ParamStore.key(gene_id, w, b) for gene_id, w, b, _ in shapes]
+    keys = [ParamStore.key(lp.gene_id, lp.weight_shape, lp.bias_shape) for lp in plan.layers]
     store = ParamStore(keys, dtype)
-    entries = [store.entries[key] for key in keys]
     copied: set[int] = set()
-    for key, entry, (gene_id, weight_shape, _, fan_in) in zip(keys, entries, shapes):
+    ops: list = []
+    for key, lp in zip(keys, plan.layers):
+        entry = store.entries[key]
         parent = parent_store.get(key) if parent_store is not None else None
         if parent is not None:
             store.data[:3, entry.span] = parent_store.data[:3, parent.span]
             entry.step = parent.step
-            if gene_id >= 0:
-                copied.add(gene_id)
+            if lp.gene_id != ADAPTER_ID:
+                copied.add(lp.gene_id)
         else:
-            a = float(np.sqrt(1.0 / fan_in))
-            entry.weights[...] = rng.uniform(-a, a, size=weight_shape)
+            a = float(np.sqrt(1.0 / lp.fan_in))
+            entry.weights[...] = rng.uniform(-a, a, size=lp.weight_shape)
 
-    ops: list = []
-    for lp, entry in zip(plan.layers, entries):
+        if lp.reshape_to is not None:
+            ops.append(ReshapePadOp(lp.reshape_to))
         if lp.kind == LINEAR:
             ops.append(LinearLayer(entry, lp.in_shape))
         elif lp.kind == CONV:
             ops.append(ConvLayer(entry, lp.kernel, lp.stride, lp.padding))
         elif lp.kind == TRANSPOSE_CONV:
-            if lp.reshape_to is not None:
-                ops.append(ReshapePadOp(lp.reshape_to))
             ops.append(ConvTransposeLayer(entry, lp.kernel, lp.stride, lp.padding))
         else:
             raise ValueError(f"unknown layer kind {lp.kind!r}")
-        ops.append(ActivationOp(lp.activation))
-
-    if ad.kind == "linear":
-        ops.append(LinearLayer(entries[-1], ad.in_shape))
-    else:
-        ops.append(ConvLayer(entries[-1], kernel=1, stride=1, padding=0))
-    if ad.post == "sigmoid":
-        ops.append(SigmoidHead())
-        ops.append(SqueezeOp())
-    else:
-        ops.append(ActivationOp("tanh"))
-        if ad.crop is not None:
-            ops.append(CropOp(*ad.crop))
-        if ad.reshape is not None:
-            ops.append(ReshapePadOp(ad.reshape))
+        if lp.head == "sigmoid":
+            ops += [SigmoidHead(), SqueezeOp()]
+        else:
+            ops.append(ActivationOp(lp.activation))
+        if lp.head == "crop":
+            ops.append(CropOp(*lp.out_shape[1:]))
+        elif lp.head == "reshape":
+            ops.append(ReshapePadOp(lp.out_shape))
 
     net = NetworkInstance(
-        role=genome.role,
         ops=ops,
         input_shape=plan.input_shape,
-        output_shape=plan.output_shape,
         dtype=np.dtype(dtype),
         store=store,
         copied_gene_ids=frozenset(copied),

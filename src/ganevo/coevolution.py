@@ -69,15 +69,19 @@ class MetricsRecord:
 
     @classmethod
     def from_line(cls, line: str) -> MetricsRecord:
+        """Parse a `to_line` line; raises ValueError naming a missing field
+        (schema included) other than the optional classifier_score."""
         pairs = dict(item.split("=", 1) for item in line.split())
-        schema = int(pairs.pop("schema"))
-        if schema != METRICS_SCHEMA:
+        schema = pairs.pop("schema", None)
+        if schema != str(METRICS_SCHEMA):
             raise ValueError(f"unsupported metrics schema {schema}")
         kwargs = {}
         for f in dataclasses.fields(cls):
             if f.name == "wall_seconds":
                 kwargs[f.name] = 0.0
             elif f.name not in pairs:
+                if f.name != "classifier_score":
+                    raise ValueError(f"metrics line has no {f.name}")
                 kwargs[f.name] = None
             else:
                 kwargs[f.name] = (int if f.type == "int" else float)(pairs[f.name])

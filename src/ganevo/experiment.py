@@ -46,7 +46,6 @@ DATASETS = ("mnist", "fashion-mnist", "ring2d")
 EMBEDDINGS = ("identity", "randproj")
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 # ring2d points are divided by this multiple of the radius before training so
 # real samples fit the generator's tanh output range
@@ -132,7 +131,7 @@ def _parse_value(key: str, raw: str):
 
 _POSITIVE_COUNTS = (
     "generator_population", "discriminator_population", "tournament_k",
-    "fid_samples", "rmse_samples", "genome_limit", "species_target",
+    "rmse_samples", "genome_limit", "species_target",
     "batch_size", "batches_per_pair", "noise_dim", "ring_modes",
 )
 _RATES = ("add_layer_rate", "remove_layer_rate", "change_layer_rate")
@@ -158,6 +157,8 @@ def validate_config(config: RunConfig) -> None:
         value = getattr(config, key)
         if value < 1:
             raise ConfigError(f"{key}: {value} must be >= 1")
+    if config.fid_samples < 2:  # a covariance needs two samples
+        raise ConfigError(f"fid_samples: {config.fid_samples} must be >= 2")
     for key in _RATES:
         value = getattr(config, key)
         if not 0.0 <= value <= 1.0:
@@ -240,36 +241,29 @@ def _read_be_u32(data: bytes, offset: int, path: str) -> int:
     return int.from_bytes(data[offset:offset + 4], "big")
 
 
-def _parse_idx(path: str, expected_magic: int) -> np.ndarray:
+def _parse_idx(path: str) -> np.ndarray:
+    """An IDX image file's pixels as a (count, 1, rows, cols) uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = _read_be_u32(data, 0, path)
-    if magic != expected_magic:
+    if magic != IDX_IMAGES_MAGIC:
         raise IdxFormatError(
             f"{path}: magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{expected_magic:08x}"
+            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
         )
     count = _read_be_u32(data, 4, path)
-    if expected_magic == IDX_IMAGES_MAGIC:
-        rows = _read_be_u32(data, 8, path)
-        cols = _read_be_u32(data, 12, path)
-        for offset, value in ((4, count), (8, rows), (12, cols)):
-            if value == 0:
-                raise IdxFormatError(f"{path}: zero dimension at byte offset {offset}")
-        header = 16
-        expected = header + count * rows * cols
-        if len(data) < expected:
-            raise IdxFormatError(
-                f"{path}: truncated at byte offset {len(data)}, expected {expected} bytes")
-        pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols,
-                               offset=header)
-        return pixels.reshape(count, 1, rows, cols).copy()
-    header = 8
-    expected = header + count
+    rows = _read_be_u32(data, 8, path)
+    cols = _read_be_u32(data, 12, path)
+    for offset, value in ((4, count), (8, rows), (12, cols)):
+        if value == 0:
+            raise IdxFormatError(f"{path}: zero dimension at byte offset {offset}")
+    header = 16
+    expected = header + count * rows * cols
     if len(data) < expected:
         raise IdxFormatError(
             f"{path}: truncated at byte offset {len(data)}, expected {expected} bytes")
-    return np.frombuffer(data, dtype=np.uint8, count=count, offset=header).copy()
+    pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols, offset=header)
+    return pixels.reshape(count, 1, rows, cols).copy()
 
 
 class IdxSource:
@@ -278,9 +272,8 @@ class IdxSource:
     Pixels rescale to [-1, 1] via x / 127.5 - 1.
     """
 
-    def __init__(self, images: np.ndarray, rng, labels: np.ndarray | None = None):
+    def __init__(self, images: np.ndarray, rng):
         self._images = images
-        self.labels = labels
         self.rng = rng
         self.scale = 1.0
         self._epoch_state = rng.bit_generator.state
@@ -318,16 +311,12 @@ class IdxSource:
         self._cursor = int(state["cursor"])
 
 
-def load_idx_dataset(images_path: str, labels_path: str | None = None,
-                     rng=None) -> IdxSource:
-    """Parse IDX files bit-exactly into a cycling sample source."""
-    images = _parse_idx(images_path, IDX_IMAGES_MAGIC)
-    labels = None
-    if labels_path is not None:
-        labels = _parse_idx(labels_path, IDX_LABELS_MAGIC)
+def load_idx_dataset(images_path: str, rng=None) -> IdxSource:
+    """Parse an IDX image file bit-exactly into a cycling sample source."""
+    images = _parse_idx(images_path)
     if rng is None:
         rng = np.random.default_rng(0)
-    return IdxSource(images, rng, labels)
+    return IdxSource(images, rng)
 
 
 def ring_mode_centers(modes: int, radius: float) -> np.ndarray:
@@ -433,20 +422,25 @@ def _truncate_stream(path: str, generation: int) -> None:
         for line in fh:
             if not line.endswith(b"\n"):  # torn by a kill mid-append
                 break
-            if int(line.split(b"generation=")[1].split()[0]) >= generation:
+            try:
+                line_generation = int(line.split(b"generation=")[1].split()[0])
+            except (IndexError, ValueError):
+                raise CheckpointError(
+                    f"{path}: no generation in the line at byte offset {keep}") from None
+            if line_generation >= generation:
                 break
             keep += len(line)
     os.truncate(path, keep)
 
 
 def read_metrics(out_dir: str) -> list[MetricsRecord]:
-    records = []
+    """The records of a metrics stream; a last line with no newline was torn
+    by a kill mid-append and is skipped, as resume drops it."""
     with open(metrics_path(out_dir), "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(MetricsRecord.from_line(line))
-    return records
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()
+    return [MetricsRecord.from_line(line) for line in lines if line.strip()]
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -715,8 +709,7 @@ def init_state(config: RunConfig) -> EvolutionState:
     )
 
 
-def _evolution_loop(state: EvolutionState, config: RunConfig,
-                    classifier=None) -> list[MetricsRecord]:
+def _evolution_loop(state: EvolutionState, config: RunConfig) -> list[MetricsRecord]:
     """Run generations until config.generations, persisting as we go.
 
     Metrics lines append to the run directory and a resumable checkpoint is
@@ -726,7 +719,7 @@ def _evolution_loop(state: EvolutionState, config: RunConfig,
     """
     history = []
     while state.generation < config.generations:
-        state, record = run_generation(state, config, classifier)
+        state, record = run_generation(state, config)
         history.append(record)
         append_metrics(config.out_dir, record)
         if state.generation == config.generations:
@@ -735,8 +728,7 @@ def _evolution_loop(state: EvolutionState, config: RunConfig,
     return history
 
 
-def run_evolution(config: RunConfig,
-                  classifier=None) -> tuple[list[MetricsRecord], EvolutionState]:
+def run_evolution(config: RunConfig) -> tuple[list[MetricsRecord], EvolutionState]:
     """Full run from fresh minimal populations.
 
     Persists the resolved config, the metrics stream, a checkpoint per
@@ -745,13 +737,12 @@ def run_evolution(config: RunConfig,
     prepare_run_dir(config)
     state = init_state(config)
     write_checkpoint(state, config, config.out_dir)
-    history = _evolution_loop(state, config, classifier)
+    history = _evolution_loop(state, config)
     return history, state
 
 
 def resume_evolution(checkpoint_dir: str, generations: int | None = None,
-                     out_dir: str | None = None,
-                     classifier=None) -> tuple[list[MetricsRecord], EvolutionState]:
+                     out_dir: str | None = None) -> tuple[list[MetricsRecord], EvolutionState]:
     """Continue a checkpointed run; appends to the original metrics stream
     after dropping any lines it holds for generations past the checkpoint."""
     state, config = read_checkpoint(checkpoint_dir)
@@ -762,7 +753,7 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     os.makedirs(config.out_dir, exist_ok=True)
     for path in (metrics_path(config.out_dir), timings_path(config.out_dir)):
         _truncate_stream(path, state.generation)
-    history = _evolution_loop(state, config, classifier)
+    history = _evolution_loop(state, config)
     return history, state
 
 

@@ -1,17 +1,19 @@
 """Genotype encoding for evolved generator and discriminator networks.
 
-A genome is an ordered tuple of layer genes.  Discriminator genomes hold a
-convolutional section followed by a linear section; generator genomes hold a
-linear section followed by a transpose-convolutional section.  The genotype
-stores only layer type, size attribute and activation: concrete kernel sizes,
-strides and tensor shapes are derived from the data shape by `infer_shapes`,
-which also plans the fixed (non-evolved) output adapter mapping the last gene
-to the required network output.
+A genome is an ordered tuple of layer genes in two contiguous sections whose
+kinds `SECTIONS` gives per role: discriminators hold a convolutional section
+followed by a linear one, generators a linear section followed by a
+transpose-convolutional one.  The genotype stores only layer type, size
+attribute and activation: concrete kernel sizes, strides and tensor shapes
+are derived from the data shape by `infer_shapes`, whose plan ends with the
+fixed (non-evolved) output adapter mapping the last gene to the required
+network output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 DISCRIMINATOR = "discriminator"
 GENERATOR = "generator"
@@ -20,6 +22,9 @@ ROLES = (DISCRIMINATOR, GENERATOR)
 LINEAR = "linear"
 CONV = "conv"
 TRANSPOSE_CONV = "transpose_conv"
+
+# Each role's two section kinds, in genome order.
+SECTIONS = {DISCRIMINATOR: (CONV, LINEAR), GENERATOR: (LINEAR, TRANSPOSE_CONV)}
 
 ACTIVATIONS = ("relu", "leaky_relu", "elu", "sigmoid", "tanh")
 
@@ -84,23 +89,16 @@ class Genome:
         return len(self.genes)
 
 
-def allowed_kinds(role: str) -> tuple[str, str]:
-    """Gene kinds a role may carry: (spatial kind, linear kind)."""
-    if role == DISCRIMINATOR:
-        return (CONV, LINEAR)
-    if role == GENERATOR:
-        return (TRANSPOSE_CONV, LINEAR)
-    raise ValueError(f"unknown role {role!r}")
+def spatial_kind(role: str) -> str:
+    """The role's convolutional gene kind: its section that is not linear."""
+    first, second = SECTIONS[role]
+    return second if first == LINEAR else first
 
 
 def section_boundary(genome: Genome) -> int:
-    """Index where the second section starts.
-
-    Discriminators: genes[:boundary] is the conv section, genes[boundary:]
-    the linear section.  Generators: genes[:boundary] is the linear section,
-    genes[boundary:] the transpose-conv section.
-    """
-    first_kind = CONV if genome.role == DISCRIMINATOR else LINEAR
+    """Index where the role's second section starts: genes[:boundary] are of
+    its first section kind, genes[boundary:] of its second."""
+    first_kind = SECTIONS[genome.role][0]
     boundary = 0
     for gene in genome.genes:
         if gene.kind != first_kind:
@@ -147,13 +145,11 @@ def validate(
         violations.append(
             f"genome length {len(genome.genes)} outside [1, {genome.max_len}]"
         )
-    spatial_kind, _ = allowed_kinds(genome.role)
+    first_kind, second_kind = SECTIONS[genome.role]
     seen_second_section = False
-    first_kind = CONV if genome.role == DISCRIMINATOR else LINEAR
-    second_kind = LINEAR if genome.role == DISCRIMINATOR else TRANSPOSE_CONV
     seen_ids = set()
     for i, gene in enumerate(genome.genes):
-        if gene.kind not in (LINEAR, spatial_kind):
+        if gene.kind not in (first_kind, second_kind):
             violations.append(
                 f"gene {i}: kind {gene.kind!r} not allowed for {genome.role}"
             )
@@ -184,11 +180,18 @@ def validate(
 
 @dataclass(frozen=True)
 class LayerPlan:
-    """Concrete dimensions for one gene.
+    """Concrete dimensions for one gene, or for the output adapter that ends
+    every plan under gene id ADAPTER_ID.
 
     `reshape_to` is set on the first transpose-conv gene: the incoming flat
     feature vector is zero-padded up to prod(reshape_to) and viewed as a
     (channels, h, w) volume before the layer applies.
+
+    `head` is set on the adapter alone.  "sigmoid" ends a discriminator in the
+    clipped sigmoid, one probability per sample.  "crop" and "reshape" end a
+    generator in tanh, then crop the 1x1 conv's output to the sample size or
+    reshape the linear output into the sample shape; `out_shape` is the
+    sample shape either way.
     """
 
     gene_id: int
@@ -196,7 +199,6 @@ class LayerPlan:
     activation: str
     in_shape: tuple[int, ...]
     out_shape: tuple[int, ...]
-    units: int
     weight_shape: tuple[int, ...]
     bias_shape: tuple[int, ...]
     fan_in: int
@@ -204,42 +206,44 @@ class LayerPlan:
     stride: int | None = None
     padding: int | None = None
     reshape_to: tuple[int, int, int] | None = None
-
-
-@dataclass(frozen=True)
-class AdapterPlan:
-    """Fixed output head: linear -> sigmoid for discriminators; a channel
-    projection (1x1 conv or linear) -> tanh for generators, cropped or
-    reshaped to the exact sample dims."""
-
-    kind: str  # "linear" or "conv"
-    in_shape: tuple[int, ...]
-    out_shape: tuple[int, ...]
-    weight_shape: tuple[int, ...]
-    bias_shape: tuple[int, ...]
-    fan_in: int
-    post: str  # "sigmoid" or "tanh"
-    crop: tuple[int, int] | None = None
-    reshape: tuple[int, ...] | None = None
+    head: str | None = None
 
 
 @dataclass(frozen=True)
 class ShapePlan:
+    """The network's input shape and its layers: one per gene, in genome
+    order, then the output adapter."""
+
     input_shape: tuple[int, ...]
     layers: tuple[LayerPlan, ...]
-    adapter: AdapterPlan
-    output_shape: tuple[int, ...]
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _conv_out(h: int, w: int) -> tuple[int, int, int]:
-    """(stride, out_h, out_w) for one conv gene under the halving rule."""
-    if _ceil_div(h, 2) >= MIN_SPATIAL and _ceil_div(w, 2) >= MIN_SPATIAL:
-        return 2, _ceil_div(h, 2), _ceil_div(w, 2)
-    return 1, h, w
+def _layer(gene_id: int, kind: str, units: int, activation: str, in_shape: tuple[int, ...],
+           reshape_to: tuple[int, int, int] | None = None, pointwise: bool = False) -> LayerPlan:
+    """The plan of one layer of `kind` with `units` outputs fed `in_shape`,
+    under the spatial rule above; a `pointwise` conv is a stride-1 1x1 one."""
+    if kind == LINEAR:
+        fan_in = math.prod(in_shape)
+        return LayerPlan(gene_id=gene_id, kind=kind, activation=activation,
+                         in_shape=in_shape, out_shape=(units,), weight_shape=(units, fan_in),
+                         bias_shape=(units,), fan_in=fan_in)
+    c, h, w = reshape_to or in_shape
+    if kind == TRANSPOSE_CONV:
+        kernel, stride, padding = TCONV_KERNEL, TCONV_STRIDE, TCONV_PADDING
+        weight_shape, out_hw = (c, units, kernel, kernel), (h * 2, w * 2)
+    else:
+        kernel, padding = (1, 0) if pointwise else (CONV_KERNEL, CONV_PADDING)
+        halved = (_ceil_div(h, 2), _ceil_div(w, 2))
+        stride = 2 if not pointwise and min(halved) >= MIN_SPATIAL else 1
+        weight_shape, out_hw = (units, c, kernel, kernel), halved if stride == 2 else (h, w)
+    return LayerPlan(gene_id=gene_id, kind=kind, activation=activation, in_shape=in_shape,
+                     out_shape=(units,) + out_hw, weight_shape=weight_shape,
+                     bias_shape=(units,), fan_in=c * kernel * kernel, kernel=kernel,
+                     stride=stride, padding=padding, reshape_to=reshape_to)
 
 
 def infer_shapes(
@@ -256,164 +260,30 @@ def infer_shapes(
     violations = validate(genome)
     if violations:
         raise InvalidGenomeError("; ".join(violations))
+    data_shape = tuple(data_shape)
+    input_shape = data_shape if genome.role == DISCRIMINATOR else (noise_dim,)
+    # a generator's transpose convs start at the size their doublings bring
+    # up to (at least) the sample size
+    growth = 2 ** sum(gene.kind == TRANSPOSE_CONV for gene in genome.genes)
+    start_hw = (_ceil_div(data_shape[1], growth), _ceil_div(data_shape[2], growth))
+    layers = []
+    shape = input_shape
+    for gene in genome.genes:
+        reshape_to = None
+        if gene.kind == TRANSPOSE_CONV and len(shape) == 1:
+            reshape_to = (_ceil_div(shape[0], math.prod(start_hw)),) + start_hw
+        layers.append(_layer(gene.innovation_id, gene.kind, gene.units, gene.activation,
+                             shape, reshape_to))
+        shape = layers[-1].out_shape
     if genome.role == DISCRIMINATOR:
-        return _infer_discriminator(genome, data_shape)
-    return _infer_generator(genome, data_shape, noise_dim)
-
-
-def _infer_discriminator(genome: Genome, data_shape: tuple[int, int, int]) -> ShapePlan:
-    layers = []
-    shape: tuple[int, ...] = tuple(data_shape)
-    for gene in genome.genes:
-        if gene.kind == CONV:
-            c, h, w = shape
-            stride, oh, ow = _conv_out(h, w)
-            out_shape = (gene.units, oh, ow)
-            layers.append(
-                LayerPlan(
-                    gene_id=gene.innovation_id,
-                    kind=CONV,
-                    activation=gene.activation,
-                    in_shape=shape,
-                    out_shape=out_shape,
-                    units=gene.units,
-                    weight_shape=(gene.units, c, CONV_KERNEL, CONV_KERNEL),
-                    bias_shape=(gene.units,),
-                    fan_in=c * CONV_KERNEL * CONV_KERNEL,
-                    kernel=CONV_KERNEL,
-                    stride=stride,
-                    padding=CONV_PADDING,
-                )
-            )
-        else:
-            in_features = _prod(shape)
-            out_shape = (gene.units,)
-            layers.append(
-                LayerPlan(
-                    gene_id=gene.innovation_id,
-                    kind=LINEAR,
-                    activation=gene.activation,
-                    in_shape=shape,
-                    out_shape=out_shape,
-                    units=gene.units,
-                    weight_shape=(gene.units, in_features),
-                    bias_shape=(gene.units,),
-                    fan_in=in_features,
-                )
-            )
-        shape = layers[-1].out_shape
-    in_features = _prod(shape)
-    adapter = AdapterPlan(
-        kind="linear",
-        in_shape=shape,
-        out_shape=(1,),
-        weight_shape=(1, in_features),
-        bias_shape=(1,),
-        fan_in=in_features,
-        post="sigmoid",
-    )
-    return ShapePlan(
-        input_shape=tuple(data_shape),
-        layers=tuple(layers),
-        adapter=adapter,
-        output_shape=(1,),
-    )
-
-
-def _infer_generator(
-    genome: Genome, data_shape: tuple[int, int, int], noise_dim: int
-) -> ShapePlan:
-    target_c, target_h, target_w = data_shape
-    n_tconv = sum(1 for g in genome.genes if g.kind == TRANSPOSE_CONV)
-    h0 = _ceil_div(target_h, 2 ** n_tconv)
-    w0 = _ceil_div(target_w, 2 ** n_tconv)
-    layers = []
-    shape: tuple[int, ...] = (noise_dim,)
-    first_tconv = True
-    for gene in genome.genes:
-        if gene.kind == LINEAR:
-            in_features = _prod(shape)
-            layers.append(
-                LayerPlan(
-                    gene_id=gene.innovation_id,
-                    kind=LINEAR,
-                    activation=gene.activation,
-                    in_shape=shape,
-                    out_shape=(gene.units,),
-                    units=gene.units,
-                    weight_shape=(gene.units, in_features),
-                    bias_shape=(gene.units,),
-                    fan_in=in_features,
-                )
-            )
-        else:
-            reshape_to = None
-            if first_tconv:
-                flat = _prod(shape)
-                c_in = _ceil_div(flat, h0 * w0)
-                reshape_to = (c_in, h0, w0)
-                in_spatial = reshape_to
-                first_tconv = False
-            else:
-                in_spatial = shape  # already (c, h, w)
-            c, h, w = in_spatial
-            out_shape = (gene.units, h * 2, w * 2)
-            layers.append(
-                LayerPlan(
-                    gene_id=gene.innovation_id,
-                    kind=TRANSPOSE_CONV,
-                    activation=gene.activation,
-                    in_shape=shape,
-                    out_shape=out_shape,
-                    units=gene.units,
-                    weight_shape=(c, gene.units, TCONV_KERNEL, TCONV_KERNEL),
-                    bias_shape=(gene.units,),
-                    fan_in=c * TCONV_KERNEL * TCONV_KERNEL,
-                    kernel=TCONV_KERNEL,
-                    stride=TCONV_STRIDE,
-                    padding=TCONV_PADDING,
-                    reshape_to=reshape_to,
-                )
-            )
-        shape = layers[-1].out_shape
-    if n_tconv > 0:
-        c, h, w = shape
-        adapter = AdapterPlan(
-            kind="conv",
-            in_shape=shape,
-            out_shape=tuple(data_shape),
-            weight_shape=(target_c, c, 1, 1),
-            bias_shape=(target_c,),
-            fan_in=c,
-            post="tanh",
-            crop=(target_h, target_w),
-        )
+        adapter = replace(_layer(ADAPTER_ID, LINEAR, 1, "sigmoid", shape), head="sigmoid")
+    elif len(shape) == 3:
+        adapter = replace(_layer(ADAPTER_ID, CONV, data_shape[0], "tanh", shape, pointwise=True),
+                          out_shape=data_shape, head="crop")
     else:
-        in_features = _prod(shape)
-        out_features = target_c * target_h * target_w
-        adapter = AdapterPlan(
-            kind="linear",
-            in_shape=shape,
-            out_shape=tuple(data_shape),
-            weight_shape=(out_features, in_features),
-            bias_shape=(out_features,),
-            fan_in=in_features,
-            post="tanh",
-            reshape=tuple(data_shape),
-        )
-    return ShapePlan(
-        input_shape=(noise_dim,),
-        layers=tuple(layers),
-        adapter=adapter,
-        output_shape=tuple(data_shape),
-    )
-
-
-def _prod(shape: tuple[int, ...]) -> int:
-    out = 1
-    for s in shape:
-        out *= s
-    return out
+        adapter = replace(_layer(ADAPTER_ID, LINEAR, math.prod(data_shape), "tanh", shape),
+                          out_shape=data_shape, head="reshape")
+    return ShapePlan(input_shape=input_shape, layers=tuple(layers) + (adapter,))
 
 
 def gene_to_record(gene: Gene) -> dict:

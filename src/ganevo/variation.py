@@ -16,13 +16,14 @@ from .genome import (
     ACTIVATIONS,
     DISCRIMINATOR,
     LINEAR,
+    SECTIONS,
     Gene,
     Genome,
     InnovationCounter,
-    allowed_kinds,
     distance,
     new_minimal_genome,
     section_boundary,
+    spatial_kind,
 )
 
 LOWER_IS_BETTER = "lower"
@@ -65,8 +66,7 @@ def _random_units(kind: str, rng, config) -> int:
 
 
 def _random_gene(role: str, rng, counter: InnovationCounter, config) -> Gene:
-    spatial, linear = allowed_kinds(role)
-    kind = (linear, spatial)[int(rng.integers(2))]
+    kind = (LINEAR, spatial_kind(role))[int(rng.integers(2))]
     return Gene(
         innovation_id=counter.next_id(),
         kind=kind,
@@ -92,9 +92,7 @@ def mutate_with_events(genome: Genome, config, rng,
             gene = _random_gene(genome.role, rng, counter, config)
             boundary = section_boundary(genome)
             # legal insertion slots keep the two sections contiguous
-            gene_in_first_section = (gene.kind != LINEAR) if genome.role == DISCRIMINATOR \
-                else (gene.kind == LINEAR)
-            if gene_in_first_section:
+            if gene.kind == SECTIONS[genome.role][0]:
                 slots = list(range(0, boundary + 1))
             else:
                 slots = list(range(boundary, len(genes) + 1))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,116 @@ class TestBuildNetwork:
         plan = G.infer_shapes(a, (1, 8, 8), 10)
         with pytest.raises(ValueError):
             B.build_network(b, plan, rng=rng)
+
+
+def op_signature(op) -> tuple:
+    """An op's class and the attributes that fix what it computes."""
+    attrs = {
+        B.ActivationOp: ("name",),
+        B.LinearLayer: ("in_shape",),
+        B.ConvLayer: ("kernel", "stride", "padding"),
+        B.ConvTransposeLayer: ("kernel", "stride", "padding"),
+        B.ReshapePadOp: ("target",),
+        B.CropOp: ("target_h", "target_w"),
+    }.get(type(op), ())
+    return (type(op).__name__,) + tuple(getattr(op, a) for a in attrs)
+
+
+def build_digest(net, store) -> str:
+    """sha256 over the store's keys in order, each entry's step, the op
+    sequence, the copied gene ids and every byte of the store's buffer."""
+    h = hashlib.sha256()
+    h.update(repr(list(store.entries)).encode())
+    h.update(repr([e.step for e in store.entries.values()]).encode())
+    h.update(repr([op_signature(op) for op in net.ops]).encode())
+    h.update(repr(sorted(net.copied_gene_ids)).encode())
+    h.update(store.data.tobytes())
+    return h.hexdigest()
+
+
+# (role, data shape, parent genome, child genome built over the parent's store)
+GOLDEN_CASES = {
+    "d-linear-sigmoid-head": (
+        G.DISCRIMINATOR, (1, 8, 8),
+        [(0, G.LINEAR, 16, "relu")],
+        [(0, G.LINEAR, 16, "tanh"), (1, G.LINEAR, 8, "elu")]),
+    "d-conv-halving-and-floor": (
+        G.DISCRIMINATOR, (1, 8, 8),
+        [(0, G.CONV, 4, "leaky_relu"), (1, G.CONV, 6, "elu"), (2, G.LINEAR, 12, "sigmoid")],
+        [(0, G.CONV, 4, "relu"), (1, G.CONV, 5, "elu"), (2, G.LINEAR, 12, "sigmoid")]),
+    "d-conv-ring-shape": (
+        G.DISCRIMINATOR, (1, 1, 2),
+        [(0, G.CONV, 3, "tanh"), (1, G.LINEAR, 7, "leaky_relu")],
+        [(3, G.CONV, 2, "relu"), (0, G.CONV, 3, "tanh"), (1, G.LINEAR, 7, "leaky_relu")]),
+    "d-rgb-conv-linear": (
+        G.DISCRIMINATOR, (3, 9, 13),
+        [(0, G.CONV, 5, "sigmoid"), (1, G.LINEAR, 9, "relu"), (2, G.LINEAR, 4, "tanh")],
+        [(0, G.CONV, 5, "sigmoid"), (2, G.LINEAR, 4, "tanh")]),
+    "g-linear-reshape": (
+        G.GENERATOR, (1, 8, 8),
+        [(0, G.LINEAR, 20, "elu")],
+        [(0, G.LINEAR, 20, "sigmoid"), (1, G.LINEAR, 30, "relu")]),
+    "g-linear-reshape-ring": (
+        G.GENERATOR, (1, 1, 2),
+        [(0, G.LINEAR, 6, "leaky_relu"), (1, G.LINEAR, 5, "tanh")],
+        [(0, G.LINEAR, 6, "leaky_relu"), (1, G.LINEAR, 4, "tanh")]),
+    "g-tconv-crop": (
+        G.GENERATOR, (3, 9, 13),
+        [(0, G.LINEAR, 40, "relu"), (1, G.TRANSPOSE_CONV, 6, "leaky_relu"),
+         (2, G.TRANSPOSE_CONV, 4, "elu")],
+        [(0, G.LINEAR, 40, "relu"), (1, G.TRANSPOSE_CONV, 6, "leaky_relu"),
+         (2, G.TRANSPOSE_CONV, 4, "elu"), (3, G.TRANSPOSE_CONV, 2, "tanh")]),
+    "g-tconv-from-noise": (
+        G.GENERATOR, (1, 7, 7),
+        [(0, G.TRANSPOSE_CONV, 3, "sigmoid")],
+        [(5, G.LINEAR, 11, "relu"), (0, G.TRANSPOSE_CONV, 3, "sigmoid")]),
+}
+
+GOLDEN_DIGESTS = {
+    "d-conv-halving-and-floor": (
+        "712c8c584be76e28adbab1fc4671fe62efa454e59b0f08b3b99aafdd1f20572d",
+        "eec14200e780118436df1caad621769bcf7b86a9bb4d1bb6b70326f650789e1c"),
+    "d-conv-ring-shape": (
+        "b69a4a6dfaee55fc149c994ea09bf192eb091d28a462fe2cc3d11771b95cd0e7",
+        "1d45248cf06c9b797504117ce34b7047551180a30b897c260d53d89898a3168b"),
+    "d-linear-sigmoid-head": (
+        "108cb189cb41f2f4cdc7f27b03a8674be69afe961f4bdc1693ffa8bf87035191",
+        "3a7b9017206a8c7522496fa89dec04b84856fc2d3c89e4ae5c054fd2e4e86c78"),
+    "d-rgb-conv-linear": (
+        "ec2f8d8852b17e6abf94e66ccea8efcd59ed19ffbd67202e337c6c1a8867a8e3",
+        "ed038f72af5225e456c7827ffe3b52a1ce20ef0c5c0a311d2c30b7cb6c4ba475"),
+    "g-linear-reshape": (
+        "55d7e66c4bb50febf4ce60256d12fe9c0328d9006c5d8e53b384ef5543b830b9",
+        "39638befdbeb2278c7d7b704c36df7825ff3abf0910f335dcef403db3e8d53da"),
+    "g-linear-reshape-ring": (
+        "3932e50e3e7c35b4daeda295247240f230e48f849a8cb414259149133a882cba",
+        "fe3c692f195290fc4f876c8fb8085a0cae595dc5fcd4da1f34a95a5f412c4997"),
+    "g-tconv-crop": (
+        "b51504a8129dccb86de09dbbd1933311f26837bf0598229bac4ee975a3d286f9",
+        "243654bfbfa25ba5212a88d94f743e115921e7c1d1b701a3c8f5bae5ecea7f6a"),
+    "g-tconv-from-noise": (
+        "c024386774dae42acccc029f0b0a9836bc86cef6914dc2c7800ad1c5645335fd",
+        "9b67cf0a28e58c9520f63cc06460308414a0320fe5a56d731b2eba324dcb3d43"),
+}
+
+
+class TestConstructionGolden:
+    """build_network's keys, ops and initial bytes for fixed genomes, with and
+    without a parent store, are pinned to digests of a reference build."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_digest(self, name):
+        role, data_shape, parent_specs, child_specs = GOLDEN_CASES[name]
+        rng = np.random.default_rng(2024)
+        net, store = build(make_genome(role, parent_specs), data_shape, 10, rng=rng)
+        parent_digest = build_digest(net, store)
+        # distinct moments and step counts make every copied value visible
+        store.data[1:3] = np.linspace(-1.0, 1.0, store.data[1:3].size).reshape(2, -1)
+        for step, entry in enumerate(store.entries.values(), start=3):
+            entry.step = step
+        child_net, child_store = build(make_genome(role, child_specs), data_shape, 10,
+                                       parent=store, rng=rng)
+        assert (parent_digest, build_digest(child_net, child_store)) == GOLDEN_DIGESTS[name]
 
 
 class TestForwardExactness:
@@ -442,3 +554,17 @@ class TestActivationBytes:
         for got, expected in pairs:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(64,), (64, 128), (64, 64, 28, 28)])
+    def test_leaky_relu_backward_same_bytes_as_cast_mask(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x, dy = (rng.standard_normal((2,) + shape) * 50).astype(np.float32)
+        x.reshape(-1)[:SPECIAL_VALUES.size] = SPECIAL_VALUES
+        dy.reshape(-1)[-SPECIAL_VALUES.size:] = SPECIAL_VALUES
+        op = B.ActivationOp("leaky_relu")
+        with np.errstate(invalid="ignore", over="ignore"):
+            op.forward(x, train=True)
+            got = op.backward(dy)
+            expected = dy * np.where(x > 0, 1.0, B.LEAKY_SLOPE).astype(dy.dtype)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

@@ -273,6 +273,15 @@ class TestRunEvolution:
         timings = (tmp_path / "half" / "run" / "timings.txt").read_text().splitlines()
         assert [line.split()[0] for line in timings] == [f"generation={g}" for g in range(4)]
 
+    def test_resume_names_a_line_with_no_generation(self, tmp_path):
+        E.run_evolution(tiny_config(tmp_path, generations=2))
+        path = tmp_path / "run" / "metrics.txt"
+        offset = path.stat().st_size
+        with open(path, "a") as fh:
+            fh.write("schema=1 rmse=0.5\n")
+        with pytest.raises(E.CheckpointError, match=f"metrics.txt: .* byte offset {offset}"):
+            E.resume_evolution(str(tmp_path / "run" / "checkpoint"), generations=3)
+
     def test_kill_at_any_checkpoint_step_resumes_exactly(self, tmp_path, monkeypatch):
         E.run_evolution(tiny_config(tmp_path / "full", generations=4))
         full = (tmp_path / "full" / "run" / "metrics.txt").read_text()

@@ -81,6 +81,8 @@ class TestConfigLoading:
             E.load_config(overrides={"generations": -1})
         with pytest.raises(E.ConfigError, match="batches_per_pair"):
             E.load_config(overrides={"batches_per_pair": 0})
+        with pytest.raises(E.ConfigError, match="fid_samples"):
+            E.load_config(overrides={"fid_samples": 1})
 
     def test_every_way_of_building_is_checked(self):
         cfg = E.load_config()
@@ -151,12 +153,6 @@ def write_idx_images(path, images):
         fh.write(images.astype(np.uint8).tobytes())
 
 
-def write_idx_labels(path, labels):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", E.IDX_LABELS_MAGIC, len(labels)))
-        fh.write(labels.astype(np.uint8).tobytes())
-
-
 class TestIdxParsing:
     def test_bit_exact_pixels(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 4, 5)).astype(np.uint8)
@@ -181,7 +177,7 @@ class TestIdxParsing:
     def test_wrong_magic_reports_offset(self, tmp_path):
         path = tmp_path / "bad"
         with open(path, "wb") as fh:
-            fh.write(struct.pack(">IIII", E.IDX_LABELS_MAGIC, 1, 2, 2))
+            fh.write(struct.pack(">IIII", 0x00000801, 1, 2, 2))
             fh.write(bytes(4))
         with pytest.raises(E.IdxFormatError, match="byte offset 0"):
             E.load_idx_dataset(str(path))
@@ -204,31 +200,20 @@ class TestIdxParsing:
             E.load_idx_dataset(str(path))
 
     @settings(max_examples=500, deadline=None)
-    @given(magic=st.sampled_from([E.IDX_IMAGES_MAGIC, E.IDX_LABELS_MAGIC]),
-           header=st.lists(st.integers(0, 40), max_size=3),
+    @given(header=st.lists(st.integers(0, 40), max_size=3),
            tail=st.binary(max_size=64), prefix=st.booleans())
-    def test_arbitrary_bytes_fail_only_with_idx_format_error(self, tmp_path_factory, magic,
+    def test_arbitrary_bytes_fail_only_with_idx_format_error(self, tmp_path_factory,
                                                             header, tail, prefix):
         # small header numbers so some inputs get past the size checks
-        data = (struct.pack(">I", magic) if prefix else b"") + b"".join(
+        data = (struct.pack(">I", E.IDX_IMAGES_MAGIC) if prefix else b"") + b"".join(
             struct.pack(">I", n) for n in header) + tail
         path = tmp_path_factory.mktemp("idx") / "fuzz"
         path.write_bytes(data)
         try:
-            parsed = E._parse_idx(str(path), magic)
+            parsed = E._parse_idx(str(path))
         except E.IdxFormatError:
             return
         assert parsed.dtype == np.uint8
-
-    def test_labels_parsed(self, tmp_path, rng):
-        images = rng.integers(0, 256, size=(3, 2, 2)).astype(np.uint8)
-        labels = np.array([7, 1, 2], dtype=np.uint8)
-        ipath, lpath = tmp_path / "imgs", tmp_path / "labels"
-        write_idx_images(str(ipath), images)
-        write_idx_labels(str(lpath), labels)
-        source = E.load_idx_dataset(str(ipath), str(lpath),
-                                    rng=np.random.default_rng(0))
-        assert np.array_equal(source.labels, labels)
 
     def test_epoch_cycling_covers_dataset(self, tmp_path, rng):
         images = np.arange(3 * 4, dtype=np.uint8).reshape(3, 2, 2)
@@ -344,6 +329,27 @@ class TestMetricsPersistence:
         loaded = E.read_metrics(str(tmp_path))
         assert [r.generation for r in loaded] == [0, 1, 2, 3, 4]
         assert len((tmp_path / "metrics.txt").read_text().splitlines()) == 5
+
+    def test_torn_last_line_skipped_at_every_cut(self, tmp_path):
+        first, last = self._record(0), self._record(1, score=2.5)
+        for record in (first, last):
+            E.append_metrics(str(tmp_path), record)
+        path = tmp_path / "metrics.txt"
+        data = path.read_bytes()
+        for cut in range(data.index(b"\n") + 1, len(data)):
+            path.write_bytes(data[:cut])
+            assert E.read_metrics(str(tmp_path)) == [dataclasses.replace(first, wall_seconds=0.0)]
+        path.write_bytes(data)
+        assert [r.generation for r in E.read_metrics(str(tmp_path))] == [0, 1]
+
+    @pytest.mark.parametrize("name", ["schema"] + [
+        f.name for f in dataclasses.fields(E.MetricsRecord)
+        if f.name not in ("classifier_score", "wall_seconds")])
+    def test_missing_field_named(self, name):
+        line = " ".join(item for item in self._record().to_line().split()
+                        if item.split("=")[0] != name)
+        with pytest.raises(ValueError, match=name):
+            E.MetricsRecord.from_line(line)
 
 
 def trained_state(out_dir, rng):

@@ -134,15 +134,17 @@ class TestInferShapesDiscriminator:
         genome = make_genome(G.DISCRIMINATOR, [(0, G.LINEAR, 64, "relu")])
         plan = G.infer_shapes(genome, (1, 28, 28), 100)
         assert plan.layers[0].weight_shape == (64, 784)
-        assert plan.adapter.weight_shape == (1, 64)
-        assert plan.adapter.post == "sigmoid"
-        assert plan.output_shape == (1,)
+        adapter = plan.layers[-1]
+        assert adapter.gene_id == G.ADAPTER_ID
+        assert adapter.weight_shape == (1, 64)
+        assert adapter.head == "sigmoid"
+        assert adapter.out_shape == (1,)
 
     def test_spatial_floor_switches_to_stride_one(self):
         genome = make_genome(G.DISCRIMINATOR,
                              [(i, G.CONV, 4, "relu") for i in range(4)])
         plan = G.infer_shapes(genome, (1, 28, 28), 100)
-        sizes = [lp.out_shape[1:] for lp in plan.layers]
+        sizes = [lp.out_shape[1:] for lp in plan.layers[:-1]]
         assert sizes == [(14, 14), (7, 7), (4, 4), (4, 4)]
         assert plan.layers[3].stride == 1
 
@@ -160,17 +162,20 @@ class TestInferShapesGenerator:
         lp = plan.layers[0]
         assert lp.reshape_to == (1, 14, 14)  # ceil(100 / 196) = 1 channel
         assert lp.out_shape == (8, 28, 28)
-        assert plan.adapter.kind == "conv"
-        assert plan.adapter.crop == (28, 28)
-        assert plan.adapter.post == "tanh"
+        adapter = plan.layers[-1]
+        assert adapter.kind == G.CONV
+        assert adapter.head == "crop"
+        assert adapter.out_shape == (1, 28, 28)
+        assert adapter.activation == "tanh"
 
     def test_linear_only_generator(self):
         genome = make_genome(G.GENERATOR, [(0, G.LINEAR, 50, "relu")])
         plan = G.infer_shapes(genome, (1, 28, 28), 100)
         assert plan.layers[0].weight_shape == (50, 100)
-        assert plan.adapter.weight_shape == (784, 50)
-        assert plan.adapter.reshape == (1, 28, 28)
-        assert plan.output_shape == (1, 28, 28)
+        adapter = plan.layers[-1]
+        assert adapter.weight_shape == (784, 50)
+        assert adapter.head == "reshape"
+        assert adapter.out_shape == (1, 28, 28)
 
     def test_two_tconvs(self):
         genome = make_genome(G.GENERATOR, [
@@ -183,7 +188,7 @@ class TestInferShapesGenerator:
         assert plan.layers[1].reshape_to == (7, 7, 7)  # ceil(300/49) = 7
         assert plan.layers[1].out_shape == (8, 14, 14)
         assert plan.layers[2].out_shape == (4, 28, 28)
-        assert plan.adapter.crop == (28, 28)
+        assert plan.layers[-1].head == "crop"
 
     def test_crop_when_doubling_overshoots(self):
         genome = make_genome(G.GENERATOR, [
@@ -191,9 +196,9 @@ class TestInferShapesGenerator:
         ])
         plan = G.infer_shapes(genome, (1, 28, 28), 100)
         # ceil(28/8) = 4 -> 8 -> 16 -> 32, cropped to 28
-        assert plan.layers[-1].out_shape == (4, 32, 32)
-        assert plan.adapter.crop == (28, 28)
-        assert plan.adapter.out_shape == (1, 28, 28)
+        assert plan.layers[-2].out_shape == (4, 32, 32)
+        assert plan.layers[-1].head == "crop"
+        assert plan.layers[-1].out_shape == (1, 28, 28)
 
 
 class TestShapePlanProperties:
@@ -220,9 +225,10 @@ class TestShapePlanProperties:
             assert plan.layers[0].in_shape == plan.input_shape
             for prev, cur in zip(plan.layers, plan.layers[1:]):
                 assert cur.in_shape == prev.out_shape
-            assert plan.adapter.in_shape == plan.layers[-1].out_shape
+            assert [lp.gene_id for lp in plan.layers] == \
+                [g.innovation_id for g in genome.genes] + [G.ADAPTER_ID]
             expected_out = (1,) if role == G.DISCRIMINATOR else tuple(data_shape)
-            assert plan.adapter.out_shape == expected_out
+            assert plan.layers[-1].out_shape == expected_out
 
     def test_deterministic(self, rng):
         genome = self._random_valid_genome(G.GENERATOR, rng)
