@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import NetworkInstance, ParamStore, build_network
-from .fitness import Embedding, assign_fitness, classifier_score, fid, rmse_metric
+from .fitness import Embedding, assign_fitness, fid, rmse_metric
 from .gan import NoiseSource, generate_samples, train_pair
 from .genome import Genome, InnovationCounter, infer_shapes
-from .variation import FitnessRecord, Offspring, goodness_key, next_generation, speciate
+from .variation import Offspring, goodness_key, next_generation, speciate
 
 ALL_VS_ALL = "all"
 RANDOM = "random"
@@ -43,7 +43,6 @@ class MetricsRecord:
     g_mean_fitness: float
     best_fid: float
     rmse: float
-    classifier_score: float | None
     d_mean_layers: float
     g_mean_layers: float
     d_mean_gene_reuse: float
@@ -52,16 +51,14 @@ class MetricsRecord:
     g_species_count: int
     d_threshold: float
     g_threshold: float
-    wall_seconds: float
+    wall_seconds: float  # last, and never written to a metrics line
 
     def to_line(self) -> str:
         """Self-describing key=value line; wall clock is deliberately left
         out so equal-seed runs produce byte-identical metrics files."""
         parts = [f"schema={METRICS_SCHEMA}"]
-        for f in dataclasses.fields(self):
+        for f in dataclasses.fields(self)[:-1]:
             value = getattr(self, f.name)
-            if f.name == "wall_seconds" or value is None:
-                continue
             # f.type is the annotation's text: annotations are postponed here
             shown = str(value) if f.type == "int" else repr(float(value))
             parts.append(f"{f.name}={shown}")
@@ -69,22 +66,27 @@ class MetricsRecord:
 
     @classmethod
     def from_line(cls, line: str) -> MetricsRecord:
-        """Parse a `to_line` line; raises ValueError naming a missing field
-        (schema included) other than the optional classifier_score."""
-        pairs = dict(item.split("=", 1) for item in line.split())
+        """Parse a `to_line` line; raises ValueError naming an item that is
+        not key=value, or a field (schema included) that is missing or does
+        not parse."""
+        pairs = {}
+        for item in line.split():
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ValueError(f"metrics item {item!r} is not key=value")
+            pairs[key] = value
         schema = pairs.pop("schema", None)
         if schema != str(METRICS_SCHEMA):
             raise ValueError(f"unsupported metrics schema {schema}")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name == "wall_seconds":
-                kwargs[f.name] = 0.0
-            elif f.name not in pairs:
-                if f.name != "classifier_score":
-                    raise ValueError(f"metrics line has no {f.name}")
-                kwargs[f.name] = None
-            else:
+        kwargs = {"wall_seconds": 0.0}
+        for f in dataclasses.fields(cls)[:-1]:
+            if f.name not in pairs:
+                raise ValueError(f"metrics line has no {f.name}")
+            try:
                 kwargs[f.name] = (int if f.type == "int" else float)(pairs[f.name])
+            except ValueError:
+                raise ValueError(f"metrics field {f.name}: cannot parse "
+                                 f"{pairs[f.name]!r}") from None
         return cls(**kwargs)
 
 
@@ -100,7 +102,7 @@ class Individual:
     id: int
     genome: Genome
     param_store: ParamStore | None = None
-    fitness: FitnessRecord | None = None
+    fitness: float | None = None
     gene_reuse: dict[int, int] = field(default_factory=dict)
     network: NetworkInstance | None = None
 
@@ -231,8 +233,7 @@ def _materialize(offspring: list[Offspring], parents: dict[int, Individual],
     return new_population, elite_of
 
 
-def run_generation(state: EvolutionState, config,
-                   classifier=None) -> tuple[EvolutionState, MetricsRecord]:
+def run_generation(state: EvolutionState, config) -> tuple[EvolutionState, MetricsRecord]:
     """Execute one full generation of a RunConfig in place; returns the
     metrics record."""
     start = time.perf_counter()
@@ -263,9 +264,6 @@ def run_generation(state: EvolutionState, config,
     real_rmse = data.next_batch(config.rmse_samples)
     fake_rmse = generate_samples(best_g.network, state.eval_noise, config.rmse_samples)
     rmse = rmse_metric(fake_rmse, real_rmse, config.rmse_samples)
-    score = None
-    if classifier is not None:
-        score = classifier_score(classifier, fake_rmse, config.rmse_samples)
 
     species_g, state.threshold_g = speciate(state.generators, state.threshold_g,
                                             config.species_target)
@@ -279,13 +277,12 @@ def run_generation(state: EvolutionState, config,
 
     record = MetricsRecord(
         generation=state.generation,
-        d_best_fitness=best_d.fitness.raw,
-        d_mean_fitness=float(np.mean([d.fitness.raw for d in state.discriminators])),
-        g_best_fitness=best_g.fitness.raw,
-        g_mean_fitness=float(np.mean([g.fitness.raw for g in state.generators])),
+        d_best_fitness=best_d.fitness,
+        d_mean_fitness=float(np.mean([d.fitness for d in state.discriminators])),
+        g_best_fitness=best_g.fitness,
+        g_mean_fitness=float(np.mean([g.fitness for g in state.generators])),
         best_fid=fid_map[best_g.id],
         rmse=rmse,
-        classifier_score=score,
         d_mean_layers=_mean_layers(state.discriminators),
         g_mean_layers=_mean_layers(state.generators),
         d_mean_gene_reuse=_mean_gene_reuse(state.discriminators),

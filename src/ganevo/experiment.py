@@ -16,6 +16,7 @@ import json
 import math
 import os
 import shutil
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,9 @@ from .coevolution import (
 )
 from .fitness import Embedding, identity_embedding, random_projection_embedding
 from .gan import NoiseSource, generate_samples
-from .genome import (
-    DISCRIMINATOR,
-    GENERATOR,
-    InnovationCounter,
-    genome_from_record,
-    genome_to_record,
-    new_minimal_genome,
-)
-from .variation import DEFAULT_THRESHOLD, FitnessRecord
+from .genome import (DISCRIMINATOR, GENERATOR, Gene, Genome, InnovationCounter,
+                     new_minimal_genome, validate)
+from .variation import DEFAULT_THRESHOLD
 
 DATA_DIR_ENV = "GANEVO_DATA_DIR"
 DATASETS = ("mnist", "fashion-mnist", "ring2d")
@@ -51,13 +46,26 @@ IDX_IMAGES_MAGIC = 0x00000803
 # real samples fit the generator's tanh output range
 RING_SCALE_MARGIN = 1.1
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
-# The JSON type of each top-level state.json value that write_checkpoint writes.
-_STATE_TYPES = {"version": int, "config": dict, "generation": int,
-                "next_individual_id": int, "next_innovation_id": int,
-                "prev_best": dict, "speciation": dict, "rng": dict, "noise": dict,
-                "data": dict, "params_file": dict, "populations": dict}
+POPULATIONS = {GENERATOR: "generators", DISCRIMINATOR: "discriminators"}
+
+# The JSON shape of what write_checkpoint writes to state.json: a type, or a
+# tuple of types, for a value; an object of exactly these keys; or a list
+# whose every item has the one shape given.
+_INDIVIDUAL_SHAPE = {
+    "id": int, "gene_reuse": dict, "fitness": (float, type(None)), "params": (list, type(None)),
+    "genome": {"role": str, "max_len": int, "genes": [
+        {"innovation_id": int, "kind": str, "units": int, "activation": str}]},
+}
+_STATE_SHAPE = {
+    "version": int, "config": dict, "generation": int,
+    "next_individual_id": int, "next_innovation_id": int,
+    "prev_best": {role: (int, type(None)) for role in POPULATIONS},
+    "speciation": {role: float for role in POPULATIONS},
+    "rng": {name: dict for name in RNG_STREAMS}, "data": dict, "params_length": int,
+    "populations": {name: [_INDIVIDUAL_SHAPE] for name in POPULATIONS.values()},
+}
 
 
 class ConfigError(ValueError):
@@ -302,13 +310,18 @@ class IdxSource:
         return self._images[idx].astype(np.float32) / 127.5 - 1.0
 
     def state(self) -> dict:
+        """Where the stream stands: the rng state its epoch's permutation was
+        drawn at, and the cursor into that permutation."""
         return {"kind": "idx", "rng": self._epoch_state, "cursor": int(self._cursor)}
 
     def restore(self, state: dict) -> None:
+        cursor = state.get("cursor")
+        if state.get("kind") != "idx" or type(cursor) is not int or not 0 <= cursor <= len(self):
+            raise ValueError(f"not an idx data record over {len(self)} images")
         self.rng.bit_generator.state = state["rng"]
         self._epoch_state = self.rng.bit_generator.state
         self._perm = self.rng.permutation(len(self._images))
-        self._cursor = int(state["cursor"])
+        self._cursor = cursor
 
 
 def load_idx_dataset(images_path: str, rng=None) -> IdxSource:
@@ -349,10 +362,12 @@ class Ring2dSource:
         return points.reshape(n, 1, 1, 2).astype(np.float32) / np.float32(self.scale)
 
     def state(self) -> dict:
-        return {"kind": "ring2d", "rng": self.rng.bit_generator.state}
+        """Nothing beyond its rng, which is saved with the run's streams."""
+        return {"kind": "ring2d"}
 
     def restore(self, state: dict) -> None:
-        self.rng.bit_generator.state = state["rng"]
+        if state != self.state():
+            raise ValueError("not a ring2d data record")
 
 
 def dataset_root(config: RunConfig) -> str:
@@ -435,85 +450,103 @@ def _truncate_stream(path: str, generation: int) -> None:
 
 def read_metrics(out_dir: str) -> list[MetricsRecord]:
     """The records of a metrics stream; a last line with no newline was torn
-    by a kill mid-append and is skipped, as resume drops it."""
+    by a kill mid-append and is skipped, as resume drops it.  A malformed line
+    raises ValueError naming the file and line number."""
     with open(metrics_path(out_dir), "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
         lines.pop()
-    return [MetricsRecord.from_line(line) for line in lines if line.strip()]
+    records = []
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                records.append(MetricsRecord.from_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{metrics_path(out_dir)}:{line_no}: {exc}") from None
+    return records
 
 
 # -- checkpoints -------------------------------------------------------------
 
 def _individual_to_record(ind: Individual, fh) -> dict:
     """The individual's JSON record; its store's parameter and moment rows go
-    to `fh` as little-endian float32."""
-    params = None
-    store = ind.param_store
-    if store is not None:
-        params = {"offset": fh.tell(),
-                  "layout": [[gene_id, list(w), list(b), entry.step]
-                             for (gene_id, (w, b)), entry in store.entries.items()]}
-        fh.write(store.data[:3].astype("<f4", copy=False))
-    return {
-        "id": ind.id,
-        "genome": genome_to_record(ind.genome),
-        "gene_reuse": {str(k): v for k, v in ind.gene_reuse.items()},
-        "fitness": None if ind.fitness is None else
-            {"raw": ind.fitness.raw, "orientation": ind.fitness.orientation},
-        "params": params,
-    }
+    to `fh` as little-endian float32, and `params` lays them out as one
+    [gene id, weight shape, bias shape, Adam step] record per entry."""
+    layout = None
+    if ind.param_store is not None:
+        layout = [[gene_id, list(w), list(b), entry.step]
+                  for (gene_id, (w, b)), entry in ind.param_store.entries.items()]
+        fh.write(ind.param_store.data[:3].astype("<f4", copy=False))
+    return {"id": ind.id, "genome": dataclasses.asdict(ind.genome),
+            "gene_reuse": {str(k): v for k, v in ind.gene_reuse.items()},
+            "fitness": ind.fitness, "params": layout}
 
 
-def _individual_from_record(record: dict, blob: bytes, offset: int,
-                            path: str) -> tuple[Individual, int]:
-    """The individual, its store rebuilt from the layout and the rows at
-    `offset` in `blob`; returns the offset where its rows end."""
-    store = None
-    params = record["params"]
-    if params is not None:
-        for item in params["layout"]:
-            # [gene id, shape, shape, step], all ints, dimensions > 0 and step >= 0
-            if not (isinstance(item, list) and len(item) == 4
-                    and all(isinstance(shape, list) for shape in item[1:3])
-                    and all(type(n) is int for n in [item[0], item[3], *item[1], *item[2]])
-                    and min(item[1] + item[2] + [1]) > 0 and item[3] >= 0):
-                raise CheckpointError(f"{path}: malformed layout record {item!r}")
-        keys = [ParamStore.key(*item[:3]) for item in params["layout"]]
-        size = sum(math.prod(w) + math.prod(b) for _, (w, b) in keys)
-        if (len(set(keys)) < len(keys) or type(params["offset"]) is not int
-                or params["offset"] != offset or offset + 12 * size > len(blob)):
-            raise CheckpointError(f"{path}: layout at offset {params['offset']!r} does "
-                                  f"not match the file's {len(blob)} bytes")
-        store = ParamStore(keys)
-        store.data[:3] = np.frombuffer(blob, "<f4", 3 * size, offset).reshape(3, size)
-        for entry, item in zip(store.entries.values(), params["layout"]):
-            entry.step = item[3]
-        offset += 12 * size
-    return Individual(
-        id=int(record["id"]),
-        genome=genome_from_record(record["genome"]),
-        param_store=store,
-        fitness=None if record["fitness"] is None else FitnessRecord(**record["fitness"]),
-        gene_reuse={int(k): int(v) for k, v in record["gene_reuse"].items()},
-    ), offset
+def _store_from_layout(layout: list | None, blob: bytes, offset: int, where: str,
+                       params_file: str) -> tuple[ParamStore | None, int]:
+    """The store a `params` layout describes, its rows read from `blob` at
+    `offset`; returns it and the offset where its rows end."""
+    if layout is None:
+        return None, offset
+    for item in layout:
+        # [gene id, shape, shape, step], all ints, dimensions > 0 and step >= 0
+        if not (isinstance(item, list) and len(item) == 4
+                and all(isinstance(shape, list) for shape in item[1:3])
+                and all(type(n) is int for n in [item[0], item[3], *item[1], *item[2]])
+                and min(item[1] + item[2] + [1]) > 0 and item[3] >= 0):
+            raise CheckpointError(f"{where}: malformed layout record {item!r}")
+    keys = [ParamStore.key(*item[:3]) for item in layout]
+    size = sum(math.prod(w) + math.prod(b) for _, (w, b) in keys)
+    if len(set(keys)) < len(keys) or offset + 12 * size > len(blob):
+        raise CheckpointError(f"{params_file}: {len(blob)} bytes do not hold the layout "
+                              f"at offset {offset} of {where}")
+    store = ParamStore(keys)
+    store.data[:3] = np.frombuffer(blob, "<f4", 3 * size, offset).reshape(3, size)
+    for entry, item in zip(store.entries.values(), layout):
+        entry.step = item[3]
+    return store, offset + 12 * size
+
+
+def _conform(value, shape, state_file: str, path: str = "") -> None:
+    """Raise CheckpointError naming `path` where `value` does not have
+    `shape`, as _STATE_SHAPE gives it.  type(), not isinstance: JSON true is
+    not a number here."""
+    kinds = dict if isinstance(shape, dict) else list if isinstance(shape, list) else shape
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if type(value) not in kinds:
+        raise CheckpointError(f"{state_file}: {path!r} is a JSON {type(value).__name__}, "
+                              f"expected {' or '.join(kind.__name__ for kind in kinds)}")
+    if isinstance(shape, dict):
+        if value.keys() != shape.keys():
+            raise CheckpointError(f"{state_file}: {path or 'the document'} has keys "
+                                  f"{sorted(value)}, expected {sorted(shape)}")
+        for key, inner in shape.items():
+            _conform(value[key], inner, state_file, f"{path}.{key}" if path else key)
+    elif isinstance(shape, list):
+        for i, item in enumerate(value):
+            _conform(item, shape[0], state_file, f"{path}[{i}]")
 
 
 def checkpoint_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "checkpoint")
 
 
+def params_path(ckpt: str, generation: int) -> str:
+    return os.path.join(ckpt, f"params-{generation}.bin")
+
+
 def write_checkpoint(state: EvolutionState, config: RunConfig,
                      out_dir: str) -> str:
     """Persist everything needed to resume bit-exactly.  The params file is
-    named by generation and state.json, which names it, is replaced after it,
-    so a kill at any step leaves a state.json whose params file is whole."""
+    named by generation and state.json, which records that generation, is
+    replaced after it, so a kill at any step leaves a state.json whose
+    params file is whole."""
     ckpt = checkpoint_dir(out_dir)
     os.makedirs(ckpt, exist_ok=True)
-    params_name = f"params-{state.generation}.bin"
-    with open(os.path.join(ckpt, params_name), "wb") as fh:
+    params_file = params_path(ckpt, state.generation)
+    with open(params_file, "wb") as fh:
         populations = {name: [_individual_to_record(i, fh) for i in getattr(state, name)]
-                       for name in ("generators", "discriminators")}
+                       for name in POPULATIONS.values()}
         params_length = fh.tell()
     doc = {
         "version": CHECKPOINT_VERSION,
@@ -521,13 +554,11 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
         "generation": state.generation,
         "next_individual_id": state.next_individual_id,
         "next_innovation_id": state.innovations.next,
-        "prev_best": {"generator": state.prev_best_g, "discriminator": state.prev_best_d},
-        "speciation": {"generator": state.threshold_g, "discriminator": state.threshold_d},
-        "rng": {name: state.rng[name].bit_generator.state
-                for name in ("init", "variation", "pairing")},
-        "noise": {"train": state.train_noise.state(), "eval": state.eval_noise.state()},
+        "prev_best": {GENERATOR: state.prev_best_g, DISCRIMINATOR: state.prev_best_d},
+        "speciation": {GENERATOR: state.threshold_g, DISCRIMINATOR: state.threshold_d},
+        "rng": {name: stream.bit_generator.state for name, stream in state.rng.items()},
         "data": state.data_source.state(),
-        "params_file": {"name": params_name, "length": params_length},
+        "params_length": params_length,
         "populations": populations,
     }
     state_file = os.path.join(ckpt, "state.json")
@@ -535,84 +566,86 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
         json.dump(doc, fh, indent=1)
     os.replace(state_file + ".tmp", state_file)
     for name in os.listdir(ckpt):
-        if name.startswith("params") and name != params_name:
+        if name.startswith("params") and name != os.path.basename(params_file):
             os.remove(os.path.join(ckpt, name))
     return ckpt
 
 
 def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
-    """Inverse of write_checkpoint; raises CheckpointError, naming the file,
-    on a state.json that is not JSON, is not an object, lacks a key or holds
-    a top-level value of the wrong type, an unsupported version, or a params
-    file that does not match its layouts."""
+    """Inverse of write_checkpoint: the state init_state builds from the
+    saved config, with every saved value restored into it.
+
+    Raises CheckpointError, naming the file, on a state.json that is not a
+    JSON object, is of another version or breaks the format anywhere, or a
+    params file that does not match its layouts; a bad config record raises
+    ConfigError."""
     state_file = os.path.join(ckpt, "state.json")
     with open(state_file, "rb") as fh:
         try:
             doc = json.loads(fh.read())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nested too deep for the parser
             raise CheckpointError(f"{state_file}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"{state_file}: a JSON {type(doc).__name__}, not an object")
-    for key, kind in _STATE_TYPES.items():
-        # type(), not isinstance: JSON true is not a number here
-        if key in doc and type(doc[key]) is not kind:
-            raise CheckpointError(f"{state_file}: {key!r} is a JSON "
-                                  f"{type(doc[key]).__name__}, expected {kind.__name__}")
-    try:
-        return _state_from_doc(doc, ckpt, state_file)
-    except KeyError as exc:
-        raise CheckpointError(f"{state_file}: missing key {exc}") from None
-
-
-def _state_from_doc(doc: dict, ckpt: str,
-                    state_file: str) -> tuple[EvolutionState, RunConfig]:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{state_file}: unsupported checkpoint version "
                               f"{doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
-    params_file = os.path.join(ckpt, doc["params_file"]["name"])
+    _conform(doc, _STATE_SHAPE, state_file)
+    config = config_from_dict(doc["config"])
+    params_file = params_path(ckpt, doc["generation"])
     if not os.path.exists(params_file):
         raise CheckpointError(f"{params_file}: params file missing")
     with open(params_file, "rb") as fh:
         blob = fh.read()
-    populations = {"generators": [], "discriminators": []}
+
+    state = init_state(config)
     offset = 0
-    for name, individuals in populations.items():
+    for role, name in POPULATIONS.items():
+        individuals = []
         for record in doc["populations"][name]:
-            ind, offset = _individual_from_record(record, blob, offset, params_file)
-            individuals.append(ind)
-    if not offset == len(blob) == doc["params_file"]["length"]:
+            where = f"{state_file}: {name} id {record['id']}"
+            genes = tuple(Gene(**gene) for gene in record["genome"]["genes"])
+            genome = Genome(**dict(record["genome"], genes=genes))
+            problems = validate(genome)
+            if genome.role != role:
+                problems.append(f"a {genome.role!r} genome")
+            reuse = record["gene_reuse"]
+            if not all(key.isdecimal() and type(count) is int for key, count in reuse.items()):
+                problems.append(f"gene_reuse {reuse!r}")
+            if problems:
+                raise CheckpointError(f"{where}: {'; '.join(problems)}")
+            store, offset = _store_from_layout(record["params"], blob, offset, where, params_file)
+            individuals.append(Individual(
+                id=record["id"], genome=genome, param_store=store, fitness=record["fitness"],
+                gene_reuse={int(key): count for key, count in reuse.items()}))
+        if len(individuals) != len(getattr(state, name)):
+            raise CheckpointError(f"{state_file}: {len(individuals)} {name}, the config "
+                                  f"has {len(getattr(state, name))}")
+        setattr(state, name, individuals)
+        best = doc["prev_best"][role]
+        if best is not None and best not in [ind.id for ind in individuals]:
+            raise CheckpointError(f"{state_file}: prev_best {role} {best} is not among the {name}")
+        if not math.isfinite(doc["speciation"][role]):
+            raise CheckpointError(f"{state_file}: speciation {role} is not finite")
+    ids = [ind.id for ind in state.generators + state.discriminators]
+    if len(set(ids)) < len(ids) or max(ids) >= doc["next_individual_id"]:
+        raise CheckpointError(f"{state_file}: individual ids {ids} repeat or are not "
+                              f"below next_individual_id")
+    if not offset == len(blob) == doc["params_length"]:
         raise CheckpointError(f"{params_file}: {len(blob)} bytes, state.json records "
-                              f"{doc['params_file']['length']!r}, its layouts {offset}")
-    config = config_from_dict(doc["config"])
-
-    def generator_with_state(rng_state) -> np.random.Generator:
-        gen = np.random.Generator(np.random.PCG64())
-        gen.bit_generator.state = rng_state
-        return gen
-
-    rng = {name: generator_with_state(doc["rng"][name])
-           for name in ("init", "variation", "pairing")}
-    train_noise = NoiseSource(config.noise_dim, generator_with_state(doc["noise"]["train"]["rng"]))
-    eval_noise = NoiseSource(config.noise_dim, generator_with_state(doc["noise"]["eval"]["rng"]))
-    data_source = make_data_source(config, np.random.Generator(np.random.PCG64()))
-    data_source.restore(doc["data"])
-
-    state = EvolutionState(
-        generation=doc["generation"],
-        generators=populations["generators"],
-        discriminators=populations["discriminators"],
-        threshold_g=float(doc["speciation"]["generator"]),
-        threshold_d=float(doc["speciation"]["discriminator"]),
-        next_individual_id=doc["next_individual_id"],
-        innovations=InnovationCounter(doc["next_innovation_id"]),
-        rng=rng,
-        train_noise=train_noise,
-        eval_noise=eval_noise,
-        data_source=data_source,
-        embedding=make_embedding(config.embedding),
-        prev_best_g=doc["prev_best"]["generator"],
-        prev_best_d=doc["prev_best"]["discriminator"],
-    )
+                              f"{doc['params_length']}, its layouts {offset}")
+    state.generation = doc["generation"]
+    state.next_individual_id = doc["next_individual_id"]
+    state.innovations.next = doc["next_innovation_id"]
+    state.prev_best_g, state.prev_best_d = (doc["prev_best"][role] for role in POPULATIONS)
+    state.threshold_g, state.threshold_d = (doc["speciation"][role] for role in POPULATIONS)
+    try:
+        for name, stream in state.rng.items():
+            stream.bit_generator.state = doc["rng"][name]
+        # after the streams: an IDX source redraws its epoch from the data stream
+        state.data_source.restore(doc["data"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"{state_file}: malformed rng or data record ({exc!r})") from None
     return state, config
 
 
@@ -768,14 +801,10 @@ def export_plot_data(run_dir: str) -> list[str]:
     for f in dataclasses.fields(MetricsRecord):
         if f.name in ("generation", "wall_seconds"):
             continue
-        values = [(r.generation, getattr(r, f.name)) for r in records
-                  if getattr(r, f.name) is not None]
-        if not values:
-            continue
         path = os.path.join(plot_dir, f"{f.name}.dat")
         with open(path, "w", encoding="utf-8") as fh:
-            for generation, value in values:
-                fh.write(f"{generation} {value!r}\n")
+            for r in records:
+                fh.write(f"{r.generation} {getattr(r, f.name)!r}\n")
         written.append(path)
     return written
 
@@ -807,33 +836,24 @@ def main(argv=None) -> int:
     export_p.add_argument("--run-dir", required=True)
 
     args = parser.parse_args(argv)
-
-    if args.command == "run":
-        overrides = {}
-        for key in ("dataset", "seed", "generations", "pairing", "embedding"):
-            value = getattr(args, key)
-            if value is not None:
-                overrides[key] = value
-        if args.out_dir is not None:
-            overrides["out_dir"] = args.out_dir
-        config = load_config(args.config, overrides)
-        history, _ = run_evolution(config)
-        if history:
-            last = history[-1]
-            print(f"run complete: {len(history)} generations, "
-                  f"best FID {last.best_fid:.6g}, outputs in {config.out_dir}")
+    try:
+        if args.command == "run":
+            keys = ("dataset", "seed", "generations", "pairing", "embedding", "out_dir")
+            config = load_config(args.config, {key: getattr(args, key) for key in keys
+                                               if getattr(args, key) is not None})
+            history, _ = run_evolution(config)
+            best = f"best FID {history[-1].best_fid:.6g}, " if history else ""
+            print(f"run complete: {len(history)} generations, {best}outputs in {config.out_dir}")
+        elif args.command == "resume":
+            history, _ = resume_evolution(
+                args.checkpoint, generations=args.generations, out_dir=args.out_dir)
+            print(f"resume complete: {len(history)} additional generations")
         else:
-            print(f"run complete: 0 generations, outputs in {config.out_dir}")
-        return 0
-
-    if args.command == "resume":
-        history, _ = resume_evolution(
-            args.checkpoint, generations=args.generations, out_dir=args.out_dir)
-        print(f"resume complete: {len(history)} additional generations")
-        return 0
-
-    written = export_plot_data(args.run_dir)
-    print(f"wrote {len(written)} plot files under {os.path.join(args.run_dir, 'plot')}")
+            written = export_plot_data(args.run_dir)
+            print(f"wrote {len(written)} plot files under {os.path.join(args.run_dir, 'plot')}")
+    except (ConfigError, CheckpointError, IdxFormatError, FileNotFoundError) as exc:
+        print(f"ganevo: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gan import PairingOutcome
-from .variation import LOWER_IS_BETTER, FitnessRecord
 
 
 class Embedding:
@@ -145,11 +144,11 @@ def assign_fitness(
     pairing_outcomes: list[PairingOutcome],
     fid_per_generator: dict[int, float],
     discriminator_ids: list[int] | None = None,
-) -> dict[int, FitnessRecord]:
+) -> dict[int, float]:
     """Discriminators get their mean bout loss; generators get their FID.
 
-    Both orientations are lower-is-better.  A discriminator with no pairings
-    is an error (its fitness would be undefined).
+    Both are values to minimise.  A discriminator with no pairings is an
+    error (its fitness would be undefined).
     """
     d_losses: dict[int, list[float]] = {}
     for outcome in pairing_outcomes:
@@ -158,9 +157,6 @@ def assign_fitness(
         missing = [i for i in discriminator_ids if i not in d_losses]
         if missing:
             raise ValueError(f"discriminators with zero pairings: {missing}")
-    records: dict[int, FitnessRecord] = {}
-    for d_id, losses in d_losses.items():
-        records[d_id] = FitnessRecord(raw=float(np.mean(losses)), orientation=LOWER_IS_BETTER)
-    for g_id, value in fid_per_generator.items():
-        records[g_id] = FitnessRecord(raw=float(value), orientation=LOWER_IS_BETTER)
-    return records
+    fitness = {d_id: float(np.mean(losses)) for d_id, losses in d_losses.items()}
+    fitness.update((g_id, float(value)) for g_id, value in fid_per_generator.items())
+    return fitness

@@ -67,12 +67,6 @@ class NoiseSource:
     def sample(self, n: int) -> np.ndarray:
         return self.rng.standard_normal((n, self.dimension)).astype(np.float32)
 
-    def state(self) -> dict:
-        return {"rng": self.rng.bit_generator.state}
-
-    def restore(self, state: dict) -> None:
-        self.rng.bit_generator.state = state["rng"]
-
 
 @dataclass(frozen=True)
 class PairingOutcome:

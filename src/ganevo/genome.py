@@ -285,37 +285,3 @@ def infer_shapes(
                           out_shape=data_shape, head="reshape")
     return ShapePlan(input_shape=input_shape, layers=tuple(layers) + (adapter,))
 
-
-def gene_to_record(gene: Gene) -> dict:
-    return {
-        "innovation_id": gene.innovation_id,
-        "kind": gene.kind,
-        "units": gene.units,
-        "activation": gene.activation,
-    }
-
-
-def gene_from_record(record: dict) -> Gene:
-    return Gene(
-        innovation_id=int(record["innovation_id"]),
-        kind=record["kind"],
-        units=int(record["units"]),
-        activation=record["activation"],
-    )
-
-
-def genome_to_record(genome: Genome) -> dict:
-    """Self-describing record embedded in checkpoints."""
-    return {
-        "role": genome.role,
-        "max_len": genome.max_len,
-        "genes": [gene_to_record(g) for g in genome.genes],
-    }
-
-
-def genome_from_record(record: dict) -> Genome:
-    return Genome(
-        role=record["role"],
-        genes=tuple(gene_from_record(g) for g in record["genes"]),
-        max_len=int(record["max_len"]),
-    )

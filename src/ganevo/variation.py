@@ -26,25 +26,16 @@ from .genome import (
     spatial_kind,
 )
 
-LOWER_IS_BETTER = "lower"
-HIGHER_IS_BETTER = "higher"
-
 MIN_THRESHOLD = 0.5
 THRESHOLD_GROW = 1.1
 THRESHOLD_SHRINK = 0.9
 DEFAULT_THRESHOLD = 2.0
 
 
-@dataclass(frozen=True)
-class FitnessRecord:
-    raw: float
-    orientation: str = LOWER_IS_BETTER
-
-
-def goodness_key(record: FitnessRecord, individual_id: int) -> tuple:
-    """Sort key where larger means better; ties favor the lower id."""
-    signed = -record.raw if record.orientation == LOWER_IS_BETTER else record.raw
-    return (signed, -individual_id)
+def goodness_key(fitness: float, individual_id: int) -> tuple:
+    """Sort key where larger means better: fitness is a value to minimise, and
+    ties favor the lower id."""
+    return (-fitness, -individual_id)
 
 
 @dataclass
@@ -165,7 +156,7 @@ def speciate(individuals, threshold: float,
     return species, threshold
 
 
-def tournament_select(members: list[int], fitness: dict[int, FitnessRecord],
+def tournament_select(members: list[int], fitness: dict[int, float],
                       k_t: int, rng) -> int:
     """Best of k_t uniform draws with replacement; ties go to the lower id."""
     if not members:
@@ -176,7 +167,7 @@ def tournament_select(members: list[int], fitness: dict[int, FitnessRecord],
     return max(picks, key=lambda i: goodness_key(fitness[i], i))
 
 
-def population_ranks(ids: list[int], fitness: dict[int, FitnessRecord]) -> dict[int, int]:
+def population_ranks(ids: list[int], fitness: dict[int, float]) -> dict[int, int]:
     """Ranks 1..N with N for the best individual (ties: lower id ranks higher)."""
     ordered = sorted(ids, key=lambda i: goodness_key(fitness[i], i))
     return {ind_id: rank for rank, ind_id in enumerate(ordered, start=1)}
@@ -193,7 +184,7 @@ def largest_remainder(shares: list[float], total: int) -> list[int]:
     return floors
 
 
-def next_generation(individuals, species: list[Species], fitness: dict[int, FitnessRecord],
+def next_generation(individuals, species: list[Species], fitness: dict[int, float],
                     config, rng, counter: InnovationCounter) -> list[Offspring]:
     """Produce exactly len(individuals) offspring under a RunConfig.
 

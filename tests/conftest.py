@@ -1,10 +1,13 @@
 """Shared test helpers: genome builders and a finite-difference harness."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from ganevo import backend as B
 from ganevo import coevolution as C
+from ganevo import experiment as E
 from ganevo import genome as G
 
 
@@ -17,6 +20,14 @@ def make_genome(role, specs, max_len=6):
 def linear_genome(role, ids, units=64, activation="relu"):
     """All-linear genome with the given innovation ids (for distance tests)."""
     return make_genome(role, [(i, G.LINEAR, units, activation) for i in ids])
+
+
+def write_idx_images(path, images):
+    """An IDX image file holding `images`, a (count, rows, cols) array."""
+    n, rows, cols = images.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", E.IDX_IMAGES_MAGIC, n, rows, cols))
+        fh.write(images.astype(np.uint8).tobytes())
 
 
 def build_individual(ind_id, genome, data_shape, noise_dim, rng,

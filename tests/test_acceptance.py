@@ -348,6 +348,7 @@ def desk_runs(tmp_path_factory):
     return runs
 
 
+@pytest.mark.slow
 class TestCriterion8DeskScaleEvolution:
     def test_fid_halves_and_modes_survive(self, desk_runs):
         ratios = []
@@ -367,6 +368,7 @@ class TestCriterion8DeskScaleEvolution:
                 f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 class TestCriterion9LayerGrowthTrend:
     def test_spearman_positive_for_a_subpopulation(self, desk_runs):
         best_rhos = []
@@ -382,6 +384,7 @@ class TestCriterion9LayerGrowthTrend:
                 median_rho > 0.5, f"median rho {median_rho:.3f}")
 
 
+@pytest.mark.slow
 class TestCriterion10DeterminismAndResume:
     def test_equal_seeds_bit_identical(self, desk_runs):
         rerun_dir = desk_runs["root"] / "rerun1"

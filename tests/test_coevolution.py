@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import linear_genome
+from conftest import linear_genome, write_idx_images
 from ganevo import coevolution as C
 from ganevo import experiment as E
 from ganevo import genome as G
@@ -27,12 +27,26 @@ def tiny_config(tmp_path, **overrides):
     return E.load_config(overrides=base)
 
 
+def case_config(tmp_path, case, run, **overrides):
+    """tiny_config for the ring2d case, or for an evolving run on a synthetic
+    IDX file of 7 8x8 images: epochs wrap inside every bout, and at add rate
+    0.5 conv and transpose-conv genes appear."""
+    if case == "idx":
+        data = tmp_path / "data"
+        if not data.exists():
+            (data / "mnist").mkdir(parents=True)
+            images = np.random.default_rng(3).integers(0, 256, size=(7, 8, 8))
+            write_idx_images(str(data / "mnist" / "train-images-idx3-ubyte"), images)
+        overrides = dict(dataset="mnist", data_dir=str(data), add_layer_rate=0.5, **overrides)
+    return tiny_config(tmp_path / run, **overrides)
+
+
 def checkpoint_contents(run_dir):
     """Params file bytes and state.json with the run-specific out_dir left out."""
     ckpt = run_dir / "checkpoint"
     state = json.loads((ckpt / "state.json").read_text())
     del state["config"]["out_dir"]
-    return (ckpt / state["params_file"]["name"]).read_bytes(), state
+    return (ckpt / f"params-{state['generation']}.bin").read_bytes(), state
 
 
 class Fault:
@@ -211,16 +225,6 @@ class TestRunGeneration:
         assert history[2].g_mean_gene_reuse == pytest.approx(2.0)
         assert history[2].d_mean_gene_reuse == pytest.approx(2.0)
 
-    def test_classifier_score_recorded_when_supplied(self, tmp_path):
-        config = tiny_config(tmp_path, generations=1)
-        state = E.init_state(config)
-
-        def classifier(batch):
-            return np.tile([0.5, 0.5], (len(batch), 1))
-
-        state, record = C.run_generation(state, config, classifier=classifier)
-        assert record.classifier_score == pytest.approx(1.0)
-
 
 class TestRunEvolution:
     def test_zero_generations(self, tmp_path):
@@ -236,11 +240,11 @@ class TestRunEvolution:
         assert [r.generation for r in history] == [0, 1, 2]
         assert len(E.read_metrics(config.out_dir)) == 3
 
-    def test_fixed_seed_reproducible(self, tmp_path):
-        config_a = tiny_config(tmp_path / "a")
-        config_b = tiny_config(tmp_path / "b")
-        history_a, _ = E.run_evolution(config_a)
-        history_b, _ = E.run_evolution(config_b)
+    @pytest.mark.parametrize("case", ["ring2d", "idx"])
+    def test_fixed_seed_reproducible(self, tmp_path, monkeypatch, case):
+        monkeypatch.delenv(E.DATA_DIR_ENV, raising=False)
+        history_a, _ = E.run_evolution(case_config(tmp_path, case, "a"))
+        history_b, _ = E.run_evolution(case_config(tmp_path, case, "b"))
         lines_a = (tmp_path / "a" / "run" / "metrics.txt").read_text()
         lines_b = (tmp_path / "b" / "run" / "metrics.txt").read_text()
         assert lines_a == lines_b
@@ -248,11 +252,11 @@ class TestRunEvolution:
         assert checkpoint_contents(tmp_path / "a" / "run") == \
             checkpoint_contents(tmp_path / "b" / "run")
 
-    def test_resume_matches_uninterrupted(self, tmp_path):
-        config_full = tiny_config(tmp_path / "full", generations=4)
-        E.run_evolution(config_full)
-        config_half = tiny_config(tmp_path / "half", generations=2)
-        E.run_evolution(config_half)
+    @pytest.mark.parametrize("case", ["ring2d", "idx"])
+    def test_resume_matches_uninterrupted(self, tmp_path, monkeypatch, case):
+        monkeypatch.delenv(E.DATA_DIR_ENV, raising=False)
+        _, state = E.run_evolution(case_config(tmp_path, case, "full", generations=4))
+        E.run_evolution(case_config(tmp_path, case, "half", generations=2))
         E.resume_evolution(str(tmp_path / "half" / "run" / "checkpoint"),
                            generations=4)
         full = (tmp_path / "full" / "run" / "metrics.txt").read_text()
@@ -260,6 +264,10 @@ class TestRunEvolution:
         assert full == half
         assert checkpoint_contents(tmp_path / "full" / "run") == \
             checkpoint_contents(tmp_path / "half" / "run")
+        if case == "idx":
+            kinds = {gene.kind for ind in state.generators + state.discriminators
+                     for gene in ind.genome.genes}
+            assert {G.CONV, G.TRANSPOSE_CONV} <= kinds
 
     def test_resume_drops_metrics_past_checkpoint(self, tmp_path):
         E.run_evolution(tiny_config(tmp_path / "full", generations=4))

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import functools
 import json
+import operator
 import os
 import struct
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_individual, make_genome
+from conftest import build_individual, make_genome, write_idx_images
 from ganevo import backend as B
 from ganevo import coevolution as C
 from ganevo import experiment as E
@@ -146,13 +148,6 @@ class TestConfigLoading:
         assert E.config_from_dict(record) == cfg
 
 
-def write_idx_images(path, images):
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", E.IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-
-
 class TestIdxParsing:
     def test_bit_exact_pixels(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 4, 5)).astype(np.uint8)
@@ -261,12 +256,17 @@ class TestRing2d:
         assert np.all(np.abs(counts - n / 8) <= 3 * sigma)
 
     def test_state_restore(self):
+        # the source's one rng is a run stream, saved with the others, so
+        # its own record holds nothing else
         source = E.Ring2dSource(4, 1.0, 0.1, np.random.default_rng(5))
         source.next_batch(3)
-        saved = source.state()
+        saved = source.rng.bit_generator.state
         expected = source.next_batch(4)
-        source.restore(saved)
+        source.rng.bit_generator.state = saved
+        source.restore(source.state())
         assert np.array_equal(source.next_batch(4), expected)
+        with pytest.raises(ValueError, match="ring2d"):
+            source.restore({"kind": "idx"})
 
     def test_scaled_source_divides(self):
         scaled = E.Ring2dSource(1, 2.0, 0.0, np.random.default_rng(0), scale=2.2)
@@ -297,11 +297,11 @@ class TestModeCoverage:
 
 
 class TestMetricsPersistence:
-    def _record(self, generation=0, score=None):
+    def _record(self, generation=0):
         return E.MetricsRecord(
             generation=generation, d_best_fitness=1.25, d_mean_fitness=1.5,
             g_best_fitness=0.25, g_mean_fitness=0.5, best_fid=0.25, rmse=1.0,
-            classifier_score=score, d_mean_layers=1.5, g_mean_layers=2.0,
+            d_mean_layers=1.5, g_mean_layers=2.0,
             d_mean_gene_reuse=0.5, g_mean_gene_reuse=0.75, d_species_count=3,
             g_species_count=2, d_threshold=2.2, g_threshold=1.8,
             wall_seconds=12.5)
@@ -310,14 +310,8 @@ class TestMetricsPersistence:
         record = self._record()
         parsed = E.MetricsRecord.from_line(record.to_line())
         assert parsed.best_fid == record.best_fid
-        assert parsed.classifier_score is None
         assert parsed.d_species_count == 3
         assert parsed.wall_seconds == 0.0  # not persisted
-
-    def test_line_with_classifier_score(self):
-        record = self._record(score=2.5)
-        assert "classifier_score=2.5" in record.to_line()
-        assert E.MetricsRecord.from_line(record.to_line()).classifier_score == 2.5
 
     def test_wall_seconds_never_in_line(self):
         assert "wall_seconds" not in self._record().to_line()
@@ -331,7 +325,7 @@ class TestMetricsPersistence:
         assert len((tmp_path / "metrics.txt").read_text().splitlines()) == 5
 
     def test_torn_last_line_skipped_at_every_cut(self, tmp_path):
-        first, last = self._record(0), self._record(1, score=2.5)
+        first, last = self._record(0), self._record(1)
         for record in (first, last):
             E.append_metrics(str(tmp_path), record)
         path = tmp_path / "metrics.txt"
@@ -342,14 +336,26 @@ class TestMetricsPersistence:
         path.write_bytes(data)
         assert [r.generation for r in E.read_metrics(str(tmp_path))] == [0, 1]
 
-    @pytest.mark.parametrize("name", ["schema"] + [
-        f.name for f in dataclasses.fields(E.MetricsRecord)
-        if f.name not in ("classifier_score", "wall_seconds")])
-    def test_missing_field_named(self, name):
-        line = " ".join(item for item in self._record().to_line().split()
-                        if item.split("=")[0] != name)
+    @pytest.mark.parametrize("name,item", [pytest.param(name, "", id=name) for name in (
+        ["schema"] + [f.name for f in dataclasses.fields(E.MetricsRecord)][:-1])] + [
+        pytest.param("rmse", "rmse", id="item-without-equals"),
+        pytest.param("generation", "generation=x", id="int-does-not-parse"),
+        pytest.param("best_fid", "best_fid=abc", id="float-does-not-parse"),
+        pytest.param("d_species_count", "d_species_count=1.5", id="float-for-int")])
+    def test_missing_field_named(self, name, item):
+        """`name` dropped from a good line, and `item` put in its place."""
+        line = " ".join([part for part in self._record().to_line().split()
+                         if part.split("=")[0] != name] + [item])
         with pytest.raises(ValueError, match=name):
             E.MetricsRecord.from_line(line)
+
+    def test_malformed_line_named_with_its_number(self, tmp_path):
+        for generation in range(2):
+            E.append_metrics(str(tmp_path), self._record(generation))
+        with open(tmp_path / "metrics.txt", "a") as fh:
+            fh.write("schema=1 generation=2 rmse\n")
+        with pytest.raises(ValueError, match=r"metrics\.txt:3: metrics item 'rmse'"):
+            E.read_metrics(str(tmp_path))
 
 
 def trained_state(out_dir, rng):
@@ -397,21 +403,55 @@ def saved_checkpoint(tmp_path_factory):
     """(state.json document, params bytes, scratch directory) of a checkpoint."""
     tmp = tmp_path_factory.mktemp("checkpoint")
     state, config = trained_state(tmp / "run", np.random.default_rng(8))
-    ckpt = E.write_checkpoint(state, config, config.out_dir)
+    return load_checkpoint(E.write_checkpoint(state, config, config.out_dir)) + (tmp,)
+
+
+@pytest.fixture(scope="module")
+def run_checkpoint(tmp_path_factory):
+    """(state.json document, params bytes, scratch directory) of the
+    checkpoint a tiny ring2d run writes after 2 generations, so gene reuse
+    and the previous bests are set."""
+    tmp = tmp_path_factory.mktemp("run_checkpoint")
+    config = E.load_config(overrides=dict(
+        dataset="ring2d", ring_modes=4, generations=2, generator_population=2,
+        discriminator_population=3, batches_per_pair=1, batch_size=8, fid_samples=16,
+        rmse_samples=16, noise_dim=4, feature_range=(4, 8), seed=2, out_dir=str(tmp / "run")))
+    E.run_evolution(config)
+    return load_checkpoint(E.checkpoint_dir(config.out_dir)) + (tmp,)
+
+
+def load_checkpoint(ckpt):
+    """A checkpoint's state.json document and params file bytes."""
     with open(os.path.join(ckpt, "state.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    with open(os.path.join(ckpt, doc["params_file"]["name"]), "rb") as fh:
-        blob = fh.read()
-    return doc, blob, tmp
+    with open(E.params_path(ckpt, doc["generation"]), "rb") as fh:
+        return doc, fh.read()
 
 
 def read_written(directory, doc, blob):
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "state.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    with open(os.path.join(directory, doc["params_file"]["name"]), "wb") as fh:
+    with open(E.params_path(str(directory), doc["generation"]), "wb") as fh:
         fh.write(blob)
     return E.read_checkpoint(str(directory))
+
+
+def json_paths(value, path=()):
+    """The path of every value inside a JSON document, as keys and indices."""
+    inner = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in inner:
+        yield path + (key,)
+        yield from json_paths(item, path + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of `doc` with the value at `path` replaced."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    functools.reduce(operator.getitem, head, doc)[last] = value
+    return doc
 
 
 LAYOUT_VALUES = st.one_of(st.integers(-3, 2 ** 40), st.floats(allow_nan=False),
@@ -438,6 +478,11 @@ class TestCheckpointErrors:
         doc, blob, tmp = saved_checkpoint
         with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 2"):
             read_written(tmp / "v2", dict(doc, version=2), blob)
+
+    def test_version_three_rejected(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 3"):
+            read_written(tmp / "v3", dict(doc, version=3), blob)
 
     def test_missing_top_level_key_named(self, saved_checkpoint):
         doc, blob, tmp = saved_checkpoint
@@ -472,6 +517,73 @@ class TestCheckpointErrors:
         with pytest.raises(E.CheckpointError, match="state.json"):
             E.read_checkpoint(str(tmp / "retyped"))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_value_at_any_depth_of_another_type_named(self, run_checkpoint, data):
+        doc, blob, tmp = run_checkpoint
+        read_written(tmp / "nested", doc, blob)
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        old = functools.reduce(operator.getitem, path, doc)
+        value = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+        (tmp / "nested" / "state.json").write_text(json.dumps(replaced(doc, path, value)))
+        try:
+            E.read_checkpoint(str(tmp / "nested"))
+        except E.CheckpointError as exc:
+            assert "state.json" in str(exc)
+        except E.ConfigError:
+            assert path[0] == "config"
+
+    @pytest.mark.parametrize("path,value", [pytest.param(
+        path, value, id=f"{'.'.join(map(str, path))}={value!r}") for path, value in [
+        (("populations", "generators"), [1]),
+        (("populations", "generators"), []),
+        (("populations", "discriminators", 0, "gene_reuse"), []),
+        (("populations", "discriminators", 0, "gene_reuse"), {"x": 1}),
+        (("rng", "init"), {}),
+        (("rng", "data", "state", "state"), -1),
+        (("data",), {"kind": "idx"}),
+        (("populations", "discriminators", 1, "genome", "genes", 0, "units"), "abc"),
+        (("populations", "generators", 0, "genome", "genes", 0, "units"), 0),
+        (("populations", "generators", 1, "genome", "role"), "bogus"),
+        (("populations", "generators", 1, "genome", "role"), "discriminator"),
+        (("populations", "generators", 1, "genome", "max_len"), 0),
+        (("populations", "generators", 0, "id"), 12),  # the first discriminator's id
+        (("speciation", "generator"), "abc"),
+        (("speciation", "discriminator"), float("nan")),
+        (("prev_best", "discriminator"), "abc"),
+        (("prev_best", "generator"), 99),
+        (("next_individual_id",), 0),
+    ]])
+    def test_malformed_nested_value_named(self, run_checkpoint, path, value):
+        doc, blob, tmp = run_checkpoint
+        read_written(tmp / "malformed", doc, blob)
+        (tmp / "malformed" / "state.json").write_text(json.dumps(replaced(doc, path, value)))
+        with pytest.raises(E.CheckpointError, match="state.json"):
+            E.read_checkpoint(str(tmp / "malformed"))
+
+    @pytest.mark.parametrize("cursor", [-1, 6, 2.0, None])
+    def test_idx_cursor_outside_the_images_rejected(self, tmp_path, monkeypatch, cursor):
+        monkeypatch.delenv(E.DATA_DIR_ENV, raising=False)
+        (tmp_path / "data" / "mnist").mkdir(parents=True)
+        write_idx_images(str(tmp_path / "data" / "mnist" / "train-images-idx3-ubyte"),
+                         np.zeros((5, 4, 4), dtype=np.uint8))
+        config = E.load_config(overrides=dict(
+            dataset="mnist", data_dir=str(tmp_path / "data"), generator_population=1,
+            discriminator_population=1, out_dir=str(tmp_path / "run")))
+        doc, blob = load_checkpoint(E.write_checkpoint(E.init_state(config), config,
+                                                       config.out_dir))
+        for ok in (0, 5):  # a cursor at the end starts the next epoch
+            read_written(tmp_path / "ok", replaced(doc, ("data", "cursor"), ok), blob)
+        with pytest.raises(E.CheckpointError, match="state.json: .*idx data record"):
+            read_written(tmp_path / "bad", replaced(doc, ("data", "cursor"), cursor), blob)
+
+    def test_deeply_nested_state_file_rejected(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        read_written(tmp / "deep", doc, blob)
+        (tmp / "deep" / "state.json").write_text("[" * 100_000)
+        with pytest.raises(E.CheckpointError, match="state.json: not a JSON document"):
+            E.read_checkpoint(str(tmp / "deep"))
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_truncated_state_file_rejected(self, saved_checkpoint, data):
@@ -485,7 +597,7 @@ class TestCheckpointErrors:
     def test_missing_params_file_named(self, saved_checkpoint):
         doc, blob, tmp = saved_checkpoint
         read_written(tmp / "missing", doc, blob)
-        os.remove(tmp / "missing" / doc["params_file"]["name"])
+        os.remove(E.params_path(str(tmp / "missing"), doc["generation"]))
         with pytest.raises(E.CheckpointError, match=r"params-0\.bin: params file missing"):
             E.read_checkpoint(str(tmp / "missing"))
 
@@ -496,7 +608,7 @@ class TestCheckpointErrors:
         cut = data.draw(st.integers(0, len(blob) - 1))
         doc = copy.deepcopy(doc)
         if data.draw(st.booleans()):
-            doc["params_file"]["length"] = cut  # a state.json that agrees with the cut
+            doc["params_length"] = cut  # a state.json that agrees with the cut
         with pytest.raises(E.CheckpointError, match="params-0.bin"):
             read_written(tmp / "truncated", doc, blob[:cut])
 
@@ -505,10 +617,10 @@ class TestCheckpointErrors:
     def test_perturbed_layout_fails_only_with_checkpoint_error(self, saved_checkpoint, data):
         doc, blob, tmp = saved_checkpoint
         doc = copy.deepcopy(doc)
-        params = data.draw(st.sampled_from(
+        layout = data.draw(st.sampled_from(
             [r["params"] for pop in doc["populations"].values() for r in pop]))
-        item = data.draw(st.sampled_from(params["layout"]))
-        where = data.draw(st.sampled_from(["gene", "dim", "step", "arity", "offset"]))
+        item = data.draw(st.sampled_from(layout))
+        where = data.draw(st.sampled_from(["gene", "dim", "step", "arity"]))
         value = data.draw(LAYOUT_VALUES)
         if where == "gene":
             item[0] = value
@@ -516,8 +628,6 @@ class TestCheckpointErrors:
             item[3] = value
         elif where == "arity":
             item.append(value) if data.draw(st.booleans()) else item.pop()
-        elif where == "offset":
-            old, params["offset"] = params["offset"], value
         else:
             dims = item[data.draw(st.sampled_from([1, 2]))]
             i = data.draw(st.integers(0, len(dims) - 1))
@@ -528,7 +638,7 @@ class TestCheckpointErrors:
             return
         # a read may succeed only where the layout still describes the file
         assert where in ("gene", "step") or (
-            where in ("dim", "offset") and type(value) is int and value == old)
+            where == "dim" and type(value) is int and value == old)
 
 
 class TestSampleDumping:
@@ -567,7 +677,7 @@ class TestPlotExport:
         records = [E.MetricsRecord(
             generation=i, d_best_fitness=1.0, d_mean_fitness=1.0,
             g_best_fitness=0.5, g_mean_fitness=0.5, best_fid=0.5 - 0.1 * i,
-            rmse=1.0, classifier_score=None, d_mean_layers=1.0, g_mean_layers=1.0,
+            rmse=1.0, d_mean_layers=1.0, g_mean_layers=1.0,
             d_mean_gene_reuse=0.0, g_mean_gene_reuse=0.0, d_species_count=1,
             g_species_count=1, d_threshold=2.0, g_threshold=2.0, wall_seconds=0.0)
             for i in range(3)]
@@ -604,6 +714,27 @@ class TestCli:
 
         assert E.main(["metrics-export", "--run-dir", out_dir]) == 0
         assert (tmp_path / "cli_run" / "plot" / "best_fid.dat").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["run", "--generations", "-1", "--out-dir", "{tmp}/run"],
+                     "generations: -1 must be >= 0", id="config"),
+        pytest.param(["run", "--dataset", "mnist", "--out-dir", "{tmp}/run"],
+                     "byte offset 0", id="idx"),
+        pytest.param(["run", "--config", "{tmp}/missing.cfg"], "missing.cfg", id="no-config"),
+        pytest.param(["resume", "--checkpoint", "{tmp}"], "state.json: not a JSON document",
+                     id="checkpoint"),
+        pytest.param(["metrics-export", "--run-dir", "{tmp}/missing"], "metrics.txt",
+                     id="no-run-dir"),
+    ])
+    def test_bad_input_reported_in_one_line(self, tmp_path, capsys, monkeypatch, argv,
+                                            message):
+        (tmp_path / "mnist").mkdir()
+        (tmp_path / "mnist" / "train-images-idx3-ubyte").write_bytes(bytes(16))
+        (tmp_path / "state.json").write_text("{")
+        monkeypatch.setenv(E.DATA_DIR_ENV, str(tmp_path))
+        assert E.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ganevo: ") and err.count("\n") == 1 and message in err
 
     def test_run_writes_config_echo(self, tmp_path):
         out_dir = str(tmp_path / "echo_run")

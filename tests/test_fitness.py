@@ -3,7 +3,6 @@ import pytest
 
 from ganevo import fitness as F
 from ganevo import gan
-from ganevo import variation as V
 
 
 def scalar_frechet(m1, s1, m2, s2):
@@ -215,18 +214,16 @@ def outcome(g_id, d_id, d_loss_mean, g_loss_mean=0.5):
 class TestAssignFitness:
     def test_single_pairing(self):
         records = F.assign_fitness([outcome(1, 2, 1.3)], {1: 10.0})
-        assert records[2].raw == pytest.approx(1.3)
-        assert records[2].orientation == V.LOWER_IS_BETTER
+        assert records[2] == pytest.approx(1.3)
 
     def test_mean_over_pairings(self):
         outcomes = [outcome(1, 2, 1.0), outcome(3, 2, 2.0)]
         records = F.assign_fitness(outcomes, {1: 5.0, 3: 6.0})
-        assert records[2].raw == pytest.approx(1.5)
+        assert records[2] == pytest.approx(1.5)
 
     def test_generator_gets_its_fid(self):
         records = F.assign_fitness([outcome(1, 2, 1.0)], {1: 42.0})
-        assert records[1].raw == pytest.approx(42.0)
-        assert records[1].orientation == V.LOWER_IS_BETTER
+        assert records[1] == pytest.approx(42.0)
 
     def test_order_invariance(self, rng):
         outcomes = [outcome(1, 10, 1.0), outcome(2, 10, 2.0), outcome(1, 11, 3.0),

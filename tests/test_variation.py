@@ -200,23 +200,17 @@ class TestSpeciate:
 
 class TestTournament:
     def test_single_member(self, rng):
-        fitness = {3: V.FitnessRecord(1.0)}
+        fitness = {3: 1.0}
         assert V.tournament_select([3], fitness, 2, rng) == 3
 
     def test_equal_fitness_prefers_lower_id(self, rng):
         # k_t large enough that both members are sampled
-        fitness = {5: V.FitnessRecord(1.0), 9: V.FitnessRecord(1.0)}
+        fitness = {5: 1.0, 9: 1.0}
         assert V.tournament_select([5, 9], fitness, 64, rng) == 5
 
     def test_large_tournament_finds_best(self, rng):
-        fitness = {0: V.FitnessRecord(3.0), 1: V.FitnessRecord(1.0),
-                   2: V.FitnessRecord(2.0)}
+        fitness = {0: 3.0, 1: 1.0, 2: 2.0}
         assert V.tournament_select([0, 1, 2], fitness, 64, rng) == 1
-
-    def test_higher_is_better_orientation(self, rng):
-        fitness = {0: V.FitnessRecord(3.0, V.HIGHER_IS_BETTER),
-                   1: V.FitnessRecord(1.0, V.HIGHER_IS_BETTER)}
-        assert V.tournament_select([0, 1], fitness, 64, rng) == 0
 
     def test_empty_members_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -225,13 +219,12 @@ class TestTournament:
 
 class TestRanksAndQuotas:
     def test_best_gets_rank_n(self):
-        fitness = {0: V.FitnessRecord(5.0), 1: V.FitnessRecord(1.0),
-                   2: V.FitnessRecord(3.0)}
+        fitness = {0: 5.0, 1: 1.0, 2: 3.0}
         ranks = V.population_ranks([0, 1, 2], fitness)
         assert ranks == {1: 3, 2: 2, 0: 1}
 
     def test_ties_rank_lower_id_higher(self):
-        fitness = {0: V.FitnessRecord(1.0), 1: V.FitnessRecord(1.0)}
+        fitness = {0: 1.0, 1: 1.0}
         ranks = V.population_ranks([0, 1], fitness)
         assert ranks[0] == 2 and ranks[1] == 1
 
@@ -256,7 +249,7 @@ class TestNextGeneration:
     def _population(self, ids_lists, fitness_values):
         inds = [FakeIndividual(i, linear_genome(G.DISCRIMINATOR, ids))
                 for i, ids in enumerate(ids_lists)]
-        fitness = {i: V.FitnessRecord(v) for i, v in enumerate(fitness_values)}
+        fitness = dict(enumerate(fitness_values))
         return inds, fitness
 
     def test_single_individual_elite_copy(self, rng):
