@@ -424,7 +424,8 @@ def build_network(
     genome: Genome,
     plan: ShapePlan,
     parent_store: ParamStore | None = None,
-    rng=None,
+    *,
+    rng,
     dtype=np.float32,
 ) -> tuple[NetworkInstance, ParamStore]:
     """Materialize a network, inheriting parameters where keys match.
@@ -437,8 +438,6 @@ def build_network(
     genome_ids = [g.innovation_id for g in genome.genes]
     if [lp.gene_id for lp in plan.layers] != genome_ids + [ADAPTER_ID]:
         raise ValueError("shape plan does not match genome gene sequence")
-    if rng is None:
-        rng = np.random.default_rng(0)
     keys = [ParamStore.key(lp.gene_id, lp.weight_shape, lp.bias_shape) for lp in plan.layers]
     store = ParamStore(keys, dtype)
     copied: set[int] = set()

@@ -11,6 +11,7 @@ and checkpoints can resume mid-run.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -19,13 +20,17 @@ import numpy as np
 from .backend import NetworkInstance, ParamStore, build_network
 from .fitness import Embedding, assign_fitness, fid, rmse_metric
 from .gan import NoiseSource, generate_samples, train_pair
-from .genome import Genome, InnovationCounter, infer_shapes
-from .variation import Offspring, goodness_key, next_generation, speciate
+from .genome import DISCRIMINATOR, GENERATOR, Genome, InnovationCounter, infer_shapes
+from .variation import DEFAULT_THRESHOLD, Offspring, goodness_key, next_generation, speciate
 
 ALL_VS_ALL = "all"
 RANDOM = "random"
 ALL_VS_BEST = "best"
 PAIRING_STRATEGIES = (ALL_VS_ALL, RANDOM, ALL_VS_BEST)
+
+# each role's subpopulation attribute of EvolutionState, in the order every
+# per-role step runs: it fixes the draws on the variation stream and the ids
+POPULATIONS = {GENERATOR: "generators", DISCRIMINATOR: "discriminators"}
 
 # Stream names for the documented seed-split scheme: SeedSequence(seed)
 # spawns one child per entry, in this order.
@@ -102,7 +107,6 @@ class Individual:
     id: int
     genome: Genome
     param_store: ParamStore | None = None
-    fitness: float | None = None
     gene_reuse: dict[int, int] = field(default_factory=dict)
     network: NetworkInstance | None = None
 
@@ -112,24 +116,23 @@ class EvolutionState:
     generation: int
     generators: list[Individual]
     discriminators: list[Individual]
-    # each subpopulation's adaptive speciation threshold
-    threshold_g: float
-    threshold_d: float
-    next_individual_id: int
     innovations: InnovationCounter
     rng: dict[str, np.random.Generator]
     train_noise: NoiseSource
     eval_noise: NoiseSource
     data_source: object
     embedding: Embedding
-    prev_best_g: int | None = None
-    prev_best_d: int | None = None
-    # transient: the best trained generator of the last finished generation,
-    # kept so end-of-run sample dumps have a built network to draw from
-    last_best_generator: Individual | None = None
+    # per role: the adaptive speciation threshold, and the id of the elite
+    # child of the last generation's best individual (None before the first)
+    threshold: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(POPULATIONS, DEFAULT_THRESHOLD))
+    prev_best: dict[str, int | None] = field(default_factory=lambda: dict.fromkeys(POPULATIONS))
 
 
-def _by_id(individuals: list[Individual], ind_id: int) -> Individual:
+def _by_id(individuals: list[Individual], ind_id: int | None) -> Individual:
+    """The individual with id `ind_id`; the first one for None."""
+    if ind_id is None:
+        return individuals[0]
     for ind in individuals:
         if ind.id == ind_id:
             return ind
@@ -138,15 +141,15 @@ def _by_id(individuals: list[Individual], ind_id: int) -> Individual:
 
 def make_pairs(strategy: str, generators: list[Individual],
                discriminators: list[Individual],
-               prev_best: tuple[int | None, int | None] = (None, None),
+               prev_best: dict[str, int | None] | None = None,
                rng=None) -> list[tuple[Individual, Individual]]:
     """Build the ordered (generator, discriminator) bout list.
 
     all: full cross product in generator-major order.  random: a uniform
     perfect matching when sizes are equal; otherwise the larger side may
     repeat partners but the smaller side is still fully covered.  best:
-    everyone trains against the other population's previous best (the first
-    individual when no fitness exists yet).
+    everyone trains against the other population's previous best, by role
+    (the first individual when there is none yet).
     """
     if not generators or not discriminators:
         raise ValueError("both populations must be non-empty")
@@ -174,14 +177,11 @@ def make_pairs(strategy: str, generators: list[Individual],
             pairs.append((big, small[si]) if gen_major else (small[si], big))
         return pairs
     if strategy == ALL_VS_BEST:
-        best_g = _by_id(generators, prev_best[0]) if prev_best[0] is not None else generators[0]
-        best_d = _by_id(discriminators, prev_best[1]) if prev_best[1] is not None else discriminators[0]
+        prev_best = prev_best or {}
+        best_g = _by_id(generators, prev_best.get(GENERATOR))
+        best_d = _by_id(discriminators, prev_best.get(DISCRIMINATOR))
         return [(g, best_d) for g in generators] + [(best_g, d) for d in discriminators]
     raise ValueError(f"unknown pairing strategy {strategy!r}")
-
-
-def _best(individuals: list[Individual]) -> Individual:
-    return max(individuals, key=lambda ind: goodness_key(ind.fitness, ind.id))
 
 
 def _mean_layers(individuals: list[Individual]) -> float:
@@ -208,29 +208,46 @@ def _build_population(individuals: list[Individual], data_shape, noise_dim, rng)
         ind.network = net
 
 
-def _materialize(offspring: list[Offspring], parents: dict[int, Individual],
-                 state: EvolutionState) -> tuple[list[Individual], dict[int, int]]:
-    """Turn offspring records into fresh individuals inheriting parent stores.
+def _materialize(offspring: list[Offspring], parents: list[Individual], best_id: int,
+                 ids: itertools.count) -> tuple[list[Individual], int]:
+    """Turn offspring records into fresh individuals, numbered from `ids`,
+    that inherit their parents' stores.
 
-    Returns the new population plus a parent-id -> new-elite-id map used to
-    track the previous best for the all-vs-best strategy.
+    Returns the new population plus the id of the elite child of `best_id`
+    (the first child when it has none): the previous best for the
+    all-vs-best strategy.
     """
-    new_population = []
-    elite_of = {}
+    by_id = {ind.id: ind for ind in parents}
+    children = []
+    elite_of_best = None
     for off in offspring:
-        parent = parents[off.parent_id]
+        parent = by_id[off.parent_id]
         kept_ids = {g.innovation_id for g in off.genome.genes}
-        ind = Individual(
-            id=state.next_individual_id,
+        child = Individual(
+            id=next(ids),
             genome=off.genome,
             param_store=parent.param_store,
             gene_reuse={k: v for k, v in parent.gene_reuse.items() if k in kept_ids},
         )
-        state.next_individual_id += 1
-        if off.elite:
-            elite_of[off.parent_id] = ind.id
-        new_population.append(ind)
-    return new_population, elite_of
+        if off.elite and off.parent_id == best_id:
+            elite_of_best = child.id
+        children.append(child)
+    return children, children[0].id if elite_of_best is None else elite_of_best
+
+
+def best_generator_network(state: EvolutionState, config) -> NetworkInstance | None:
+    """The trained network of the last generation's best generator, rebuilt
+    from the store its elite child `prev_best[GENERATOR]` inherited.  The
+    child has the same genome, so every entry is copied and nothing is drawn
+    from the init stream.  None before the first generation."""
+    best_id = state.prev_best[GENERATOR]
+    if best_id is None:
+        return None
+    elite = _by_id(state.generators, best_id)
+    plan = infer_shapes(elite.genome, state.data_source.data_shape, config.noise_dim)
+    net, _ = build_network(elite.genome, plan, parent_store=elite.param_store,
+                           rng=state.rng["init"])
+    return net
 
 
 def run_generation(state: EvolutionState, config) -> tuple[EvolutionState, MetricsRecord]:
@@ -238,15 +255,13 @@ def run_generation(state: EvolutionState, config) -> tuple[EvolutionState, Metri
     metrics record."""
     start = time.perf_counter()
     data = state.data_source
-    data_shape = data.data_shape
+    parents = {role: getattr(state, name) for role, name in POPULATIONS.items()}
 
-    _build_population(state.generators, data_shape, config.noise_dim, state.rng["init"])
-    _build_population(state.discriminators, data_shape, config.noise_dim, state.rng["init"])
+    for population in parents.values():
+        _build_population(population, data.data_shape, config.noise_dim, state.rng["init"])
 
-    pairs = make_pairs(
-        config.pairing, state.generators, state.discriminators,
-        (state.prev_best_g, state.prev_best_d), state.rng["pairing"],
-    )
+    pairs = make_pairs(config.pairing, state.generators, state.discriminators,
+                       state.prev_best, state.rng["pairing"])
     outcomes = [train_pair(d, g, data, config, state.train_noise) for g, d in pairs]
 
     real_fid = data.next_batch(config.fid_samples)
@@ -254,52 +269,45 @@ def run_generation(state: EvolutionState, config) -> tuple[EvolutionState, Metri
     for g in state.generators:
         fakes = generate_samples(g.network, state.eval_noise, config.fid_samples)
         fid_map[g.id] = fid(state.embedding, real_fid, fakes, config.fid_samples)
-    fitness_map = assign_fitness(outcomes, fid_map,
-                                 discriminator_ids=[d.id for d in state.discriminators])
-    for ind in state.generators + state.discriminators:
-        ind.fitness = fitness_map[ind.id]
+    fitness = assign_fitness(outcomes, fid_map,
+                             discriminator_ids=[d.id for d in state.discriminators])
 
-    best_g = _best(state.generators)
-    best_d = _best(state.discriminators)
+    best = {role: max(population, key=lambda ind: goodness_key(fitness[ind.id], ind.id))
+            for role, population in parents.items()}
     real_rmse = data.next_batch(config.rmse_samples)
-    fake_rmse = generate_samples(best_g.network, state.eval_noise, config.rmse_samples)
+    fake_rmse = generate_samples(best[GENERATOR].network, state.eval_noise, config.rmse_samples)
     rmse = rmse_metric(fake_rmse, real_rmse, config.rmse_samples)
 
-    species_g, state.threshold_g = speciate(state.generators, state.threshold_g,
-                                            config.species_target)
-    species_d, state.threshold_d = speciate(state.discriminators, state.threshold_d,
-                                            config.species_target)
+    species_count = {}
+    ids = itertools.count(max(ind.id for population in parents.values() for ind in population) + 1)
+    for role, name in POPULATIONS.items():
+        species, state.threshold[role] = speciate(parents[role], state.threshold[role],
+                                                  config.species_target)
+        species_count[role] = len(species)
+        offspring = next_generation(parents[role], species, fitness, config,
+                                    state.rng["variation"], state.innovations)
+        children, state.prev_best[role] = _materialize(offspring, parents[role],
+                                                       best[role].id, ids)
+        setattr(state, name, children)
 
-    rng, counter = state.rng["variation"], state.innovations
-    offspring_g = next_generation(state.generators, species_g, fitness_map, config, rng, counter)
-    offspring_d = next_generation(state.discriminators, species_d, fitness_map, config, rng,
-                                  counter)
-
+    gens, discs = parents[GENERATOR], parents[DISCRIMINATOR]
     record = MetricsRecord(
         generation=state.generation,
-        d_best_fitness=best_d.fitness,
-        d_mean_fitness=float(np.mean([d.fitness for d in state.discriminators])),
-        g_best_fitness=best_g.fitness,
-        g_mean_fitness=float(np.mean([g.fitness for g in state.generators])),
-        best_fid=fid_map[best_g.id],
+        d_best_fitness=fitness[best[DISCRIMINATOR].id],
+        d_mean_fitness=float(np.mean([fitness[d.id] for d in discs])),
+        g_best_fitness=fitness[best[GENERATOR].id],
+        g_mean_fitness=float(np.mean([fitness[g.id] for g in gens])),
+        best_fid=fid_map[best[GENERATOR].id],
         rmse=rmse,
-        d_mean_layers=_mean_layers(state.discriminators),
-        g_mean_layers=_mean_layers(state.generators),
-        d_mean_gene_reuse=_mean_gene_reuse(state.discriminators),
-        g_mean_gene_reuse=_mean_gene_reuse(state.generators),
-        d_species_count=len(species_d),
-        g_species_count=len(species_g),
-        d_threshold=state.threshold_d,
-        g_threshold=state.threshold_g,
+        d_mean_layers=_mean_layers(discs),
+        g_mean_layers=_mean_layers(gens),
+        d_mean_gene_reuse=_mean_gene_reuse(discs),
+        g_mean_gene_reuse=_mean_gene_reuse(gens),
+        d_species_count=species_count[DISCRIMINATOR],
+        g_species_count=species_count[GENERATOR],
+        d_threshold=state.threshold[DISCRIMINATOR],
+        g_threshold=state.threshold[GENERATOR],
         wall_seconds=time.perf_counter() - start,
     )
-
-    gen_parents = {ind.id: ind for ind in state.generators}
-    disc_parents = {ind.id: ind for ind in state.discriminators}
-    state.last_best_generator = best_g
-    state.generators, elite_g = _materialize(offspring_g, gen_parents, state)
-    state.discriminators, elite_d = _materialize(offspring_d, disc_parents, state)
-    state.prev_best_g = elite_g.get(best_g.id, state.generators[0].id)
-    state.prev_best_d = elite_d.get(best_d.id, state.discriminators[0].id)
     state.generation += 1
     return state, record

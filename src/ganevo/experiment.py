@@ -21,20 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import ParamStore
+from .backend import NetworkInstance, ParamStore
 from .coevolution import (
     PAIRING_STRATEGIES,
+    POPULATIONS,
     RNG_STREAMS,
     EvolutionState,
     Individual,
     MetricsRecord,
+    best_generator_network,
     run_generation,
 )
 from .fitness import Embedding, identity_embedding, random_projection_embedding
 from .gan import NoiseSource, generate_samples
 from .genome import (DISCRIMINATOR, GENERATOR, Gene, Genome, InnovationCounter,
                      new_minimal_genome, validate)
-from .variation import DEFAULT_THRESHOLD
 
 DATA_DIR_ENV = "GANEVO_DATA_DIR"
 DATASETS = ("mnist", "fashion-mnist", "ring2d")
@@ -46,21 +47,18 @@ IDX_IMAGES_MAGIC = 0x00000803
 # real samples fit the generator's tanh output range
 RING_SCALE_MARGIN = 1.1
 
-CHECKPOINT_VERSION = 4
-
-POPULATIONS = {GENERATOR: "generators", DISCRIMINATOR: "discriminators"}
+CHECKPOINT_VERSION = 5
 
 # The JSON shape of what write_checkpoint writes to state.json: a type, or a
 # tuple of types, for a value; an object of exactly these keys; or a list
 # whose every item has the one shape given.
 _INDIVIDUAL_SHAPE = {
-    "id": int, "gene_reuse": dict, "fitness": (float, type(None)), "params": (list, type(None)),
+    "id": int, "gene_reuse": dict, "params": (list, type(None)),
     "genome": {"role": str, "max_len": int, "genes": [
         {"innovation_id": int, "kind": str, "units": int, "activation": str}]},
 }
 _STATE_SHAPE = {
-    "version": int, "config": dict, "generation": int,
-    "next_individual_id": int, "next_innovation_id": int,
+    "version": int, "config": dict, "generation": int, "next_innovation_id": int,
     "prev_best": {role: (int, type(None)) for role in POPULATIONS},
     "speciation": {role: float for role in POPULATIONS},
     "rng": {name: dict for name in RNG_STREAMS}, "data": dict, "params_length": int,
@@ -78,6 +76,10 @@ class CheckpointError(ValueError):
 
 class IdxFormatError(ValueError):
     """Malformed IDX file; the message carries the byte offset."""
+
+
+class MetricsError(ValueError):
+    """Malformed metrics stream; the message names the file and line."""
 
 
 @dataclass(frozen=True)
@@ -324,12 +326,9 @@ class IdxSource:
         self._cursor = cursor
 
 
-def load_idx_dataset(images_path: str, rng=None) -> IdxSource:
+def load_idx_dataset(images_path: str, rng) -> IdxSource:
     """Parse an IDX image file bit-exactly into a cycling sample source."""
-    images = _parse_idx(images_path)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return IdxSource(images, rng)
+    return IdxSource(_parse_idx(images_path), rng)
 
 
 def ring_mode_centers(modes: int, radius: float) -> np.ndarray:
@@ -451,7 +450,7 @@ def _truncate_stream(path: str, generation: int) -> None:
 def read_metrics(out_dir: str) -> list[MetricsRecord]:
     """The records of a metrics stream; a last line with no newline was torn
     by a kill mid-append and is skipped, as resume drops it.  A malformed line
-    raises ValueError naming the file and line number."""
+    raises MetricsError naming the file and line number."""
     with open(metrics_path(out_dir), "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     if lines and not lines[-1].endswith("\n"):
@@ -462,7 +461,7 @@ def read_metrics(out_dir: str) -> list[MetricsRecord]:
             try:
                 records.append(MetricsRecord.from_line(line))
             except ValueError as exc:
-                raise ValueError(f"{metrics_path(out_dir)}:{line_no}: {exc}") from None
+                raise MetricsError(f"{metrics_path(out_dir)}:{line_no}: {exc}") from None
     return records
 
 
@@ -479,7 +478,7 @@ def _individual_to_record(ind: Individual, fh) -> dict:
         fh.write(ind.param_store.data[:3].astype("<f4", copy=False))
     return {"id": ind.id, "genome": dataclasses.asdict(ind.genome),
             "gene_reuse": {str(k): v for k, v in ind.gene_reuse.items()},
-            "fitness": ind.fitness, "params": layout}
+            "params": layout}
 
 
 def _store_from_layout(layout: list | None, blob: bytes, offset: int, where: str,
@@ -552,10 +551,9 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(config),
         "generation": state.generation,
-        "next_individual_id": state.next_individual_id,
         "next_innovation_id": state.innovations.next,
-        "prev_best": {GENERATOR: state.prev_best_g, DISCRIMINATOR: state.prev_best_d},
-        "speciation": {GENERATOR: state.threshold_g, DISCRIMINATOR: state.threshold_d},
+        "prev_best": state.prev_best,
+        "speciation": state.threshold,
         "rng": {name: stream.bit_generator.state for name, stream in state.rng.items()},
         "data": state.data_source.state(),
         "params_length": params_length,
@@ -616,7 +614,7 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
                 raise CheckpointError(f"{where}: {'; '.join(problems)}")
             store, offset = _store_from_layout(record["params"], blob, offset, where, params_file)
             individuals.append(Individual(
-                id=record["id"], genome=genome, param_store=store, fitness=record["fitness"],
+                id=record["id"], genome=genome, param_store=store,
                 gene_reuse={int(key): count for key, count in reuse.items()}))
         if len(individuals) != len(getattr(state, name)):
             raise CheckpointError(f"{state_file}: {len(individuals)} {name}, the config "
@@ -628,17 +626,15 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
         if not math.isfinite(doc["speciation"][role]):
             raise CheckpointError(f"{state_file}: speciation {role} is not finite")
     ids = [ind.id for ind in state.generators + state.discriminators]
-    if len(set(ids)) < len(ids) or max(ids) >= doc["next_individual_id"]:
-        raise CheckpointError(f"{state_file}: individual ids {ids} repeat or are not "
-                              f"below next_individual_id")
+    if len(set(ids)) < len(ids):
+        raise CheckpointError(f"{state_file}: individual ids {ids} repeat")
     if not offset == len(blob) == doc["params_length"]:
         raise CheckpointError(f"{params_file}: {len(blob)} bytes, state.json records "
                               f"{doc['params_length']}, its layouts {offset}")
     state.generation = doc["generation"]
-    state.next_individual_id = doc["next_individual_id"]
     state.innovations.next = doc["next_innovation_id"]
-    state.prev_best_g, state.prev_best_d = (doc["prev_best"][role] for role in POPULATIONS)
-    state.threshold_g, state.threshold_d = (doc["speciation"][role] for role in POPULATIONS)
+    state.prev_best = doc["prev_best"]
+    state.threshold = doc["speciation"]
     try:
         for name, stream in state.rng.items():
             stream.bit_generator.state = doc["rng"][name]
@@ -661,17 +657,12 @@ def write_pgm(path: str, image: np.ndarray) -> None:
         fh.write(levels.tobytes())
 
 
-def dump_samples(individual: Individual, n: int, out_dir: str,
-                 noise: NoiseSource | None = None, fmt: str = "pgm",
-                 scale: float = 1.0) -> list[str]:
+def dump_samples(network: NetworkInstance, n: int, out_dir: str, noise: NoiseSource,
+                 fmt: str = "pgm", scale: float = 1.0) -> list[str]:
     """Write n generator samples: one P5 file each for images, or a single
     coordinate text file for 2-d points (multiplied back by `scale`)."""
-    if individual.network is None:
-        raise ValueError("generator network is not built")
     os.makedirs(out_dir, exist_ok=True)
-    if noise is None:
-        noise = NoiseSource(individual.network.input_shape[0], np.random.default_rng(0))
-    samples = generate_samples(individual.network, noise, n)
+    samples = generate_samples(network, noise, n)
     written = []
     if fmt == "pgm":
         for i, sample in enumerate(samples):
@@ -703,8 +694,10 @@ def prepare_run_dir(config: RunConfig) -> None:
 
 def dump_final_samples(state: EvolutionState, config: RunConfig,
                        n: int = 16) -> None:
-    best = state.last_best_generator
-    if best is None or best.network is None:
+    """Samples of the last finished generation's best generator; none
+    before the first generation."""
+    best = best_generator_network(state, config)
+    if best is None:
         return
     fmt = "xy" if config.dataset == "ring2d" else "pgm"
     dump_samples(best, n, os.path.join(config.out_dir, "samples"),
@@ -730,9 +723,6 @@ def init_state(config: RunConfig) -> EvolutionState:
         generation=0,
         generators=population[:config.generator_population],
         discriminators=population[config.generator_population:],
-        threshold_g=DEFAULT_THRESHOLD,
-        threshold_d=DEFAULT_THRESHOLD,
-        next_individual_id=len(population),
         innovations=innovations,
         rng=rng,
         train_noise=NoiseSource(config.noise_dim, rng["noise_train"]),
@@ -747,17 +737,17 @@ def _evolution_loop(state: EvolutionState, config: RunConfig) -> list[MetricsRec
 
     Metrics lines append to the run directory and a resumable checkpoint is
     rewritten after every generation, so a failed run keeps its history.  The
-    final samples are written before the last checkpoint: a kill while they
-    are written leaves the previous checkpoint, whose resume rewrites them.
+    final samples follow from the last checkpoint and are written after it:
+    a kill while they are written leaves a finished run, whose resume
+    rewrites them.
     """
     history = []
     while state.generation < config.generations:
         state, record = run_generation(state, config)
         history.append(record)
         append_metrics(config.out_dir, record)
-        if state.generation == config.generations:
-            dump_final_samples(state, config)
         write_checkpoint(state, config, config.out_dir)
+    dump_final_samples(state, config)
     return history
 
 
@@ -851,7 +841,8 @@ def main(argv=None) -> int:
         else:
             written = export_plot_data(args.run_dir)
             print(f"wrote {len(written)} plot files under {os.path.join(args.run_dir, 'plot')}")
-    except (ConfigError, CheckpointError, IdxFormatError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, IdxFormatError, MetricsError,
+            FileNotFoundError) as exc:
         print(f"ganevo: {exc}", file=sys.stderr)
         return 2
     return 0

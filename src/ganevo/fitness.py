@@ -94,7 +94,7 @@ def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
 
 
 def fid(embedding: Embedding, real_samples: np.ndarray, fake_samples: np.ndarray,
-        n: int = 1000) -> float:
+        n: int) -> float:
     """Frechet distance between embedded real and fake sample Gaussians."""
     real_samples = np.asarray(real_samples)
     fake_samples = np.asarray(fake_samples)

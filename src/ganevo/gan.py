@@ -58,11 +58,11 @@ def g_loss_grad(d_fake: np.ndarray) -> np.ndarray:
 class NoiseSource:
     """Standard normal latent vectors of a fixed dimension."""
 
-    def __init__(self, dimension: int, rng=None):
+    def __init__(self, dimension: int, rng):
         if dimension < 1:
             raise ValueError("noise dimension must be >= 1")
         self.dimension = dimension
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
 
     def sample(self, n: int) -> np.ndarray:
         return self.rng.standard_normal((n, self.dimension)).astype(np.float32)

@@ -290,12 +290,12 @@ class TestCriterion7BoutAccounting:
             pairing="all", seed=7, out_dir=str(tmp_path / "bouts")))
         state = E.init_state(config)
         pairs = C.make_pairs(config.pairing, state.generators,
-                             state.discriminators, (None, None),
+                             state.discriminators, state.prev_best,
                              state.rng["pairing"])
         bouts = len(pairs)
         state, _ = C.run_generation(state, config)
-        trained = state.last_best_generator
-        steps_ok = all(e.step == 200 for e in trained.param_store.entries.values())
+        trained = C.best_generator_network(state, config)
+        steps_ok = all(e.step == 200 for e in trained.store.entries.values())
         # the returned state holds next-generation individuals; check the
         # trained parents through the elites' inherited stores as well
         parent_steps = {e.step for ind in state.generators + state.discriminators
@@ -321,9 +321,9 @@ def desk_config(out_dir, seed, generations=30):
         embedding="identity", pairing="all", seed=seed, out_dir=str(out_dir)))
 
 
-def best_generator_coverage(state):
+def best_generator_coverage(state, config):
     noise = gan.NoiseSource(100, np.random.default_rng(12345))
-    fakes = gan.generate_samples(state.last_best_generator.network, noise, 1000)
+    fakes = gan.generate_samples(C.best_generator_network(state, config), noise, 1000)
     points = fakes.reshape(-1, 2) * state.data_source.scale
     centers = E.ring_mode_centers(8, 2.0)
     return E.mode_coverage(points, centers, CAPTURE_RADIUS)
@@ -340,7 +340,7 @@ def desk_runs(tmp_path_factory):
         runs[seed] = {
             "config": config,
             "history": history,
-            "coverage": best_generator_coverage(state),
+            "coverage": best_generator_coverage(state, config),
             "metrics": open(E.metrics_path(config.out_dir)).read(),
         }
     runs["elapsed"] = time.perf_counter() - start

@@ -137,7 +137,8 @@ class TestMakePairs:
     def test_all_vs_best_pair_count_and_membership(self):
         gens = fake_population([0, 1, 2])
         discs = fake_population([10, 11, 12], role=G.DISCRIMINATOR)
-        pairs = C.make_pairs(C.ALL_VS_BEST, gens, discs, prev_best=(2, 11))
+        pairs = C.make_pairs(C.ALL_VS_BEST, gens, discs,
+                             prev_best={G.GENERATOR: 2, G.DISCRIMINATOR: 11})
         assert len(pairs) == 6
         assert all(d.id == 11 for _, d in pairs[:3])
         assert all(g.id == 2 for g, _ in pairs[3:])
@@ -145,7 +146,8 @@ class TestMakePairs:
     def test_all_vs_best_defaults_to_first(self):
         gens = fake_population([0, 1])
         discs = fake_population([10, 11], role=G.DISCRIMINATOR)
-        pairs = C.make_pairs(C.ALL_VS_BEST, gens, discs, prev_best=(None, None))
+        pairs = C.make_pairs(C.ALL_VS_BEST, gens, discs,
+                             prev_best={G.GENERATOR: None, G.DISCRIMINATOR: None})
         assert all(d.id == 10 for _, d in pairs[:2])
         assert all(g.id == 0 for g, _ in pairs[2:])
 
@@ -186,8 +188,8 @@ class TestRunGeneration:
         assert len(state.discriminators) == 1
         assert record.generation == 0
         # exactly one bout of one batch: every parameter stepped once
-        best = state.last_best_generator
-        assert all(e.step == 1 for e in best.param_store.entries.values())
+        best = C.best_generator_network(state, config)
+        assert all(e.step == 1 for e in best.store.entries.values())
 
     def test_population_sizes_constant(self, tmp_path):
         config = tiny_config(tmp_path, generator_population=4,
@@ -213,8 +215,8 @@ class TestRunGeneration:
         state = E.init_state(config)
         state, _ = C.run_generation(state, config)
         # all-vs-all: every individual participates in 3 bouts of 4 batches
-        trained = state.last_best_generator
-        assert all(e.step == 12 for e in trained.param_store.entries.values())
+        trained = C.best_generator_network(state, config)
+        assert all(e.step == 12 for e in trained.store.entries.values())
 
     def test_gene_reuse_counts_with_frozen_genomes(self, tmp_path):
         config = tiny_config(tmp_path, add_layer_rate=0.0, remove_layer_rate=0.0,
@@ -314,7 +316,7 @@ class TestRunEvolution:
             assert checkpoint_contents(run) == checkpoint_contents(tmp_path / "full" / "run")
         # per checkpoint write: open and torn write of the params file and of
         # state.json, the replace, the removal of the previous params file;
-        # before the last one, the open and write of the final samples
+        # after the last one, the open and write of the final samples
         assert n - 1 == 2 * 6 + 2
 
     def test_kill_in_final_generation_keeps_samples_whole(self, tmp_path, monkeypatch):
@@ -341,8 +343,17 @@ class TestRunEvolution:
                 break  # the run finished: every write step of its last generation was hit
             E.resume_evolution(str(run / "checkpoint"), generations=3, out_dir=str(run))
             assert files(run / "samples") == full, f"fault at step {n}"
-        # the samples file's open and torn write, then the six checkpoint steps
+        # the six checkpoint steps, then the samples file's open and torn write
         assert n - 1 == 2 + 6
+
+    def test_resume_of_finished_run_rewrites_samples(self, tmp_path):
+        E.run_evolution(tiny_config(tmp_path, generations=2))
+        samples = tmp_path / "run" / "samples"
+        written = {p.name: p.read_bytes() for p in samples.iterdir()}
+        shutil.rmtree(samples)
+        history, _ = E.resume_evolution(str(tmp_path / "run" / "checkpoint"))
+        assert history == []
+        assert {p.name: p.read_bytes() for p in samples.iterdir()} == written
 
     def test_samples_dumped_for_ring_dataset(self, tmp_path):
         config = tiny_config(tmp_path, generations=1)

@@ -175,7 +175,7 @@ class TestIdxParsing:
             fh.write(struct.pack(">IIII", 0x00000801, 1, 2, 2))
             fh.write(bytes(4))
         with pytest.raises(E.IdxFormatError, match="byte offset 0"):
-            E.load_idx_dataset(str(path))
+            E.load_idx_dataset(str(path), np.random.default_rng(0))
 
     def test_truncated_file_reports_offset(self, tmp_path):
         path = tmp_path / "short"
@@ -183,7 +183,7 @@ class TestIdxParsing:
             fh.write(struct.pack(">IIII", E.IDX_IMAGES_MAGIC, 10, 28, 28))
             fh.write(bytes(100))
         with pytest.raises(E.IdxFormatError, match="truncated"):
-            E.load_idx_dataset(str(path))
+            E.load_idx_dataset(str(path), np.random.default_rng(0))
 
     @pytest.mark.parametrize("count,rows,cols,offset", [
         (0, 28, 28, 4), (3, 0, 28, 8), (3, 28, 0, 12)])
@@ -192,7 +192,7 @@ class TestIdxParsing:
         with open(path, "wb") as fh:
             fh.write(struct.pack(">IIII", E.IDX_IMAGES_MAGIC, count, rows, cols))
         with pytest.raises(E.IdxFormatError, match=f"byte offset {offset}"):
-            E.load_idx_dataset(str(path))
+            E.load_idx_dataset(str(path), np.random.default_rng(0))
 
     @settings(max_examples=500, deadline=None)
     @given(header=st.lists(st.integers(0, 40), max_size=3),
@@ -484,6 +484,11 @@ class TestCheckpointErrors:
         with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 3"):
             read_written(tmp / "v3", dict(doc, version=3), blob)
 
+    def test_version_four_rejected(self, saved_checkpoint):
+        doc, blob, tmp = saved_checkpoint
+        with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 4"):
+            read_written(tmp / "v4", dict(doc, version=4), blob)
+
     def test_missing_top_level_key_named(self, saved_checkpoint):
         doc, blob, tmp = saved_checkpoint
         read_written(tmp / "partial", doc, blob)
@@ -552,7 +557,7 @@ class TestCheckpointErrors:
         (("speciation", "discriminator"), float("nan")),
         (("prev_best", "discriminator"), "abc"),
         (("prev_best", "generator"), 99),
-        (("next_individual_id",), 0),
+        (("populations", "discriminators", 1, "id"), 12),  # the first discriminator's id
     ]])
     def test_malformed_nested_value_named(self, run_checkpoint, path, value):
         doc, blob, tmp = run_checkpoint
@@ -654,7 +659,7 @@ class TestSampleDumping:
     def test_dump_samples_pgm(self, tmp_path, rng):
         genome = make_genome(G.GENERATOR, [(0, G.LINEAR, 16, "relu")])
         ind = build_individual(0, genome, (1, 28, 28), 8, rng)
-        written = E.dump_samples(ind, 16, str(tmp_path / "samples"),
+        written = E.dump_samples(ind.network, 16, str(tmp_path / "samples"),
                                  noise=gan.NoiseSource(8, np.random.default_rng(0)))
         assert len(written) == 16
         for path in written:
@@ -664,7 +669,7 @@ class TestSampleDumping:
     def test_dump_samples_xy_applies_scale(self, tmp_path, rng):
         genome = make_genome(G.GENERATOR, [(0, G.LINEAR, 8, "tanh")])
         ind = build_individual(0, genome, (1, 1, 2), 4, rng)
-        written = E.dump_samples(ind, 5, str(tmp_path / "xy"), fmt="xy", scale=2.2,
+        written = E.dump_samples(ind.network, 5, str(tmp_path / "xy"), fmt="xy", scale=2.2,
                                  noise=gan.NoiseSource(4, np.random.default_rng(0)))
         lines = open(written[0]).read().splitlines()
         assert len(lines) == 5
@@ -725,12 +730,16 @@ class TestCli:
                      id="checkpoint"),
         pytest.param(["metrics-export", "--run-dir", "{tmp}/missing"], "metrics.txt",
                      id="no-run-dir"),
+        pytest.param(["metrics-export", "--run-dir", "{tmp}/bad"],
+                     "bad/metrics.txt:1: metrics item 'rmse'", id="bad-metrics"),
     ])
     def test_bad_input_reported_in_one_line(self, tmp_path, capsys, monkeypatch, argv,
                                             message):
         (tmp_path / "mnist").mkdir()
         (tmp_path / "mnist" / "train-images-idx3-ubyte").write_bytes(bytes(16))
         (tmp_path / "state.json").write_text("{")
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / "metrics.txt").write_text("schema=1 generation=0 rmse\n")
         monkeypatch.setenv(E.DATA_DIR_ENV, str(tmp_path))
         assert E.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err

@@ -108,7 +108,7 @@ class TestNoiseSource:
 
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
-            gan.NoiseSource(0)
+            gan.NoiseSource(0, np.random.default_rng(0))
 
 
 def _setup_pair(seed, data_shape=(1, 1, 2), noise_dim=8):
