@@ -7,11 +7,18 @@ transfer between generations.
 
 Convolutions are one einsum GEMM each.  Where its output is scattered back
 onto an image (the transpose-conv forward, the conv input gradient),
-`_col2im` takes it in the (N, out_h*out_w, C*k*k) order the GEMM writes and
-adds the taps into a channels-last canvas before one copy to C-contiguous
-NCHW; the result is bit-identical to an NCHW scatter.  Activations avoid
-boolean-mask indexing, and Adam applies one bias-corrected update per run of
-entries that share a step count.
+`_col2im` takes tap-major (N, out_h*out_w, k*k, C) columns and adds each tap
+as whole channel rows into a channels-last canvas before one copy to
+C-contiguous NCHW; the result is bit-identical to an NCHW scatter.  The
+transpose-conv forward gets tap-major columns straight from its GEMM by
+permuting its (small) weight matrix to (in_c, k, k, out_c) first; it skips
+the copy when in_c > n*h*w, where the weights outweigh the columns.  The conv
+input gradient passes its (C, k, k)-ordered GEMM output as a transposed view
+instead: its GEMM has N = 9*C columns, and OpenBLAS sums the N-tail
+micro-tiles differently, so permuting its weights would change bits (the
+transpose conv's N = 16*out_c has no tail).  Activations avoid boolean-mask
+indexing, and Adam applies one bias-corrected update per run of entries that
+share a step count.
 
 Trained state lives in a ParamStore, one array per network, keyed by
 (innovation id, shape signature).  Building a network against a parent store
@@ -122,25 +129,33 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
 
 
 def _col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Scatter-add inverse of _im2col: (N, out_h*out_w, C*k*k) columns, in
-    the order the GEMM writes them, onto a C-contiguous (N, C, H, W) array.
+    """Scatter-add inverse of _im2col: tap-major (N, out_h*out_w, k*k, C)
+    columns, in any memory order, onto a C-contiguous (N, C, H, W) array.
 
-    The taps are added into a channels-last canvas, so each add runs over
-    whole channel rows; every pixel sums its taps in the same order as an
-    NCHW canvas would, so the result is bit-identical to one.  The returned
-    array is C-contiguous NCHW because a channels-last view would reorder
-    later reductions (bias gradients, FID moments) and change their bits.
+    The taps are added into a channels-last canvas, one tap at a time; when
+    the columns are C-contiguous each add reads whole contiguous channel
+    rows.  Every pixel sums its taps in the same order as an NCHW canvas
+    would, so the result is bit-identical to one.  The returned array is
+    C-contiguous NCHW because a channels-last view would reorder later
+    reductions (bias gradients, FID moments) and change their bits.
     """
     n, c, h, w = x_shape
     oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
-    cols = cols.reshape(n, oh, ow, c, kernel, kernel)
+    cols = cols.reshape(n, oh, ow, kernel, kernel, c)
     xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
     for i in range(kernel):
         for j in range(kernel):
-            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[..., i, j]
+            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, :, i, j]
     del cols  # the caller holds no reference: free the columns before the copy
     return np.ascontiguousarray(
         xp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
+
+
+def _tap_major_view(cols: np.ndarray, kernel: int) -> np.ndarray:
+    """(N, L, C*k*k) GEMM output in (C, k, k) order -> a tap-major
+    (N, L, k*k, C) view of the same buffer."""
+    n, l, f = cols.shape
+    return cols.reshape(n, l, f // (kernel * kernel), kernel * kernel).transpose(0, 1, 3, 2)
 
 
 def _conv_out_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
@@ -204,8 +219,9 @@ class ConvLayer:
                                  optimize=True).reshape(self.entry.weights.shape)
         self.grad_b += dy.sum(axis=(0, 2, 3))
         w_mat = self.entry.weights.reshape(out_c, -1)
-        return _col2im(np.einsum("of,nol->nlf", w_mat, dy_mat, optimize=True),
-                       self._x_shape, self.kernel, self.stride, self.padding)
+        return _col2im(
+            _tap_major_view(np.einsum("of,nol->nlf", w_mat, dy_mat, optimize=True), self.kernel),
+            self._x_shape, self.kernel, self.stride, self.padding)
 
 
 class ConvTransposeLayer:
@@ -233,14 +249,28 @@ class ConvTransposeLayer:
         out_c = self.entry.weights.shape[1]
         oh, ow = self._out_hw(h, w)
         x_mat = x.reshape(n, in_c, h * w)
-        w_mat = self.entry.weights.reshape(in_c, -1)
-        y = _col2im(np.einsum("if,nil->nlf", w_mat, x_mat, optimize=True),
-                    (n, out_c, oh, ow), self.kernel, self.stride, self.padding)
+        y = _col2im(self._tap_major_cols(x_mat), (n, out_c, oh, ow),
+                    self.kernel, self.stride, self.padding)
         y += self.entry.bias[None, :, None, None]
         if train:
             self._x_mat = x_mat
             self._x_hw = (h, w)
         return y
+
+    def _tap_major_cols(self, x_mat: np.ndarray) -> np.ndarray:
+        """The GEMM's (N, h*w, k*k, out_c) tap-major columns.  When in_c <=
+        n*h*w the GEMM multiplies by a (in_c, k, k, out_c) copy of the
+        weights and writes them C-contiguous.  Otherwise the copy would cost
+        more than the strided reads it saves, so the GEMM uses the weights
+        as stored and its (out_c, k, k)-ordered output is passed as a view."""
+        n, in_c, hw = x_mat.shape
+        weights = self.entry.weights
+        if in_c <= n * hw:
+            return np.einsum("if,nil->nlf", weights.transpose(0, 2, 3, 1).reshape(in_c, -1),
+                             x_mat, optimize=True)
+        return _tap_major_view(
+            np.einsum("if,nil->nlf", weights.reshape(in_c, -1), x_mat, optimize=True),
+            self.kernel)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         n = dy.shape[0]

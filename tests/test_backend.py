@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,30 +480,81 @@ def random_layer_case(rng, shape_w, shape_b, x_shape):
     return entry, rng.standard_normal(x_shape).astype(np.float32)
 
 
+def transpose_conv_outputs(hw):
+    """Yields (in_c <= n*h*w, layer output, NCHW-scatter reference) for
+    random transpose convs on hw inputs, covering both column routes of
+    `ConvTransposeLayer`: permuted weights (in_c <= n*h*w) and the
+    transposed view (in_c > n*h*w, hit on 1x1 and 2x2 inputs at batch 1-8).
+    out_c runs up to 300, so the GEMM's N = 16*out_c spans several BLAS
+    micro-tiles and thread splits."""
+    rng = np.random.default_rng(hw[0] * 100 + hw[1])
+    cases = [(rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 40)) for _ in range(6)]
+    max_n = max(2, 3000 // (hw[0] * hw[1]))  # keeps the reference's columns small
+    cases += [(rng.integers(1, min(max_n, 71)), rng.integers(1, 300), rng.integers(40, 301))
+              for _ in range(3)]
+    if hw[0] * hw[1] <= 4:
+        cases += [(rng.integers(1, 9), rng.integers(33, 601), rng.integers(1, 301))
+                  for _ in range(4)]
+    for n, in_c, out_c in cases:
+        entry, x = random_layer_case(rng, (in_c, out_c, 4, 4), (out_c,), (n, in_c) + hw)
+        y = B.ConvTransposeLayer(entry, 4, 2, 1).forward(x, train=False)
+        cols = np.einsum("if,nil->nfl", entry.weights.reshape(in_c, -1),
+                         x.reshape(n, in_c, -1), optimize=True)
+        expected = col2im_nchw(cols, (n, out_c, 2 * hw[0], 2 * hw[1]), 4, 2, 1)
+        expected += entry.bias[None, :, None, None]
+        yield in_c <= n * hw[0] * hw[1], y, expected
+
+
+def transpose_conv_digests():
+    """sha256 digests of every `transpose_conv_outputs` layer output and of
+    its reference; run in a subprocess per BLAS thread count by
+    `test_transpose_conv_forward_at_both_blas_thread_counts`."""
+    got, expected = hashlib.sha256(), hashlib.sha256()
+    for hw in SPATIAL:
+        for _, y, ref in transpose_conv_outputs(hw):
+            got.update(y.tobytes())
+            expected.update(ref.tobytes())
+    return got.hexdigest(), expected.hexdigest()
+
+
 class TestConvLayout:
     """The transpose-conv forward and the conv input gradient match the
     einsum-plus-NCHW-scatter formulation bit for bit and are C-contiguous."""
 
     @pytest.mark.parametrize("hw", SPATIAL)
     def test_transpose_conv_forward(self, hw):
-        rng = np.random.default_rng(hw[0] * 100 + hw[1])
-        for _ in range(6):
-            n, in_c, out_c = rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 40)
-            entry, x = random_layer_case(rng, (in_c, out_c, 4, 4), (out_c,), (n, in_c) + hw)
-            y = B.ConvTransposeLayer(entry, 4, 2, 1).forward(x, train=False)
-            cols = np.einsum("if,nil->nfl", entry.weights.reshape(in_c, -1),
-                             x.reshape(n, in_c, -1), optimize=True)
-            expected = col2im_nchw(cols, (n, out_c, 2 * hw[0], 2 * hw[1]), 4, 2, 1)
-            expected += entry.bias[None, :, None, None]
+        routes = set()
+        for permuted, y, expected in transpose_conv_outputs(hw):
+            routes.add(permuted)
             assert y.flags.c_contiguous
             assert np.array_equal(y, expected)
+        assert routes == ({True, False} if hw[0] * hw[1] <= 4 else {True})
+
+    def test_transpose_conv_forward_at_both_blas_thread_counts(self):
+        """The permuted-weight route is bit-identical because of how the
+        BLAS kernel tiles N, not because of the algebra, and the in-process
+        suite sees only the host's default thread count: repeat the check
+        in subprocesses at 1 and 2 OpenBLAS threads, set before numpy loads.
+        (Outputs may differ between the two counts; see ROADMAP item 1.)"""
+        tests_dir = Path(__file__).resolve().parent
+        src_dir = Path(B.__file__).resolve().parents[1]
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import test_backend as t; print(*t.transpose_conv_digests())"],
+                env=env, capture_output=True, text=True, cwd=tests_dir, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            got, expected = proc.stdout.split()
+            assert got == expected, f"OPENBLAS_NUM_THREADS={threads}"
 
     @pytest.mark.parametrize("hw", SPATIAL)
     @pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), (3, 1, 1), (1, 1, 0)])
     def test_conv_backward(self, hw, kernel, stride, padding):
         rng = np.random.default_rng(hw[0] * 100 + hw[1] + 10 * kernel + stride)
         for _ in range(4):
-            n, in_c, out_c = rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 40)
+            n, in_c, out_c = rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 81)
             entry, x = random_layer_case(rng, (out_c, in_c, kernel, kernel), (out_c,),
                                          (n, in_c) + hw)
             layer = B.ConvLayer(entry, kernel, stride, padding)
