@@ -11,12 +11,13 @@ onto an image (the transpose-conv forward, the conv input gradient),
 as whole channel rows into a channels-last canvas before one copy to
 C-contiguous NCHW; the result is bit-identical to an NCHW scatter.  The
 transpose-conv forward gets tap-major columns straight from its GEMM by
-permuting its (small) weight matrix to (in_c, k, k, out_c) first; it skips
-the copy when in_c > n*h*w, where the weights outweigh the columns.  The conv
+multiplying by a (in_c, k, k, out_c) copy of its weight matrix.  The conv
 input gradient passes its (C, k, k)-ordered GEMM output as a transposed view
 instead: its GEMM has N = 9*C columns, and OpenBLAS sums the N-tail
 micro-tiles differently, so permuting its weights would change bits (the
-transpose conv's N = 16*out_c has no tail).  Activations avoid boolean-mask
+transpose conv's N = 16*out_c has no tail).  So does a transpose conv whose
+product has one row (batch 1 on a 1x1 input): that is a GEMV, which OpenBLAS
+splits between threads by column position.  Activations avoid boolean-mask
 indexing, and Adam applies one bias-corrected update per run of entries that
 share a step count.
 
@@ -249,28 +250,22 @@ class ConvTransposeLayer:
         out_c = self.entry.weights.shape[1]
         oh, ow = self._out_hw(h, w)
         x_mat = x.reshape(n, in_c, h * w)
-        y = _col2im(self._tap_major_cols(x_mat), (n, out_c, oh, ow),
-                    self.kernel, self.stride, self.padding)
+        if n * h * w > 1:
+            # tap-major (N, h*w, k*k, out_c) columns, C-contiguous
+            w_mat = self.entry.weights.transpose(0, 2, 3, 1).reshape(in_c, -1)
+            cols = np.einsum("if,nil->nlf", w_mat, x_mat, optimize=True)
+        else:
+            # a one-row product runs as a BLAS GEMV, which splits its columns
+            # between threads by position: permuting them would change bits
+            w_mat = self.entry.weights.reshape(in_c, -1)
+            cols = _tap_major_view(np.einsum("if,nil->nlf", w_mat, x_mat, optimize=True),
+                                   self.kernel)
+        y = _col2im(cols, (n, out_c, oh, ow), self.kernel, self.stride, self.padding)
         y += self.entry.bias[None, :, None, None]
         if train:
             self._x_mat = x_mat
             self._x_hw = (h, w)
         return y
-
-    def _tap_major_cols(self, x_mat: np.ndarray) -> np.ndarray:
-        """The GEMM's (N, h*w, k*k, out_c) tap-major columns.  When in_c <=
-        n*h*w the GEMM multiplies by a (in_c, k, k, out_c) copy of the
-        weights and writes them C-contiguous.  Otherwise the copy would cost
-        more than the strided reads it saves, so the GEMM uses the weights
-        as stored and its (out_c, k, k)-ordered output is passed as a view."""
-        n, in_c, hw = x_mat.shape
-        weights = self.entry.weights
-        if in_c <= n * hw:
-            return np.einsum("if,nil->nlf", weights.transpose(0, 2, 3, 1).reshape(in_c, -1),
-                             x_mat, optimize=True)
-        return _tap_major_view(
-            np.einsum("if,nil->nlf", weights.reshape(in_c, -1), x_mat, optimize=True),
-            self.kernel)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         n = dy.shape[0]
