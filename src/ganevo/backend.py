@@ -7,10 +7,13 @@ transfer between generations.
 
 Convolutions are one einsum GEMM each.  Where its output is scattered back
 onto an image (the transpose-conv forward, the conv input gradient),
-`_col2im` takes tap-major (N, out_h*out_w, k*k, C) columns and adds each tap
-as whole channel rows into a channels-last canvas before one copy to
-C-contiguous NCHW; the result is bit-identical to an NCHW scatter.  The
-transpose-conv forward gets tap-major columns straight from its GEMM by
+`_col2im` runs that GEMM and its scatter for a block of two or more images
+at a time, about one core's L2 of columns, into a C-contiguous NCHW output,
+bit-identical to one whole-batch GEMM and NCHW scatter; no call holds the
+whole batch's column buffer.  The weight and bias gradients stay whole-batch
+sums: blocking them would reorder their sums and change their bits.
+
+The transpose-conv forward gets tap-major columns straight from its GEMM by
 multiplying by a (in_c, k, k, out_c) copy of its weight matrix.  The conv
 input gradient passes its (C, k, k)-ordered GEMM output as a transposed view
 instead: its GEMM has N = 9*C columns, and OpenBLAS sums the N-tail
@@ -45,6 +48,9 @@ ELU_ALPHA = 1.0
 # masked where the clip binds, consistent with the clamped-log losses.
 PROB_CLIP = 1e-7
 
+# About one core's L2: `_col2im` scatters this many bytes of float32 columns
+# per block of images.
+COL2IM_BLOCK_BYTES = 2 << 20
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -129,27 +135,50 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray
     return np.ascontiguousarray(cols)
 
 
-def _col2im(cols: np.ndarray, x_shape, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Scatter-add inverse of _im2col: tap-major (N, out_h*out_w, k*k, C)
-    columns, in any memory order, onto a C-contiguous (N, C, H, W) array.
+def _col2im(columns, x_shape, kernel: int, stride: int, padding: int,
+            bias: np.ndarray | None = None) -> np.ndarray:
+    """Scatter-add inverse of _im2col onto a C-contiguous (N, C, H, W) array,
+    a block of images at a time: `columns(a, b)` returns the tap-major
+    (b - a, out_h*out_w, k*k, C) columns of images a:b, in any memory order,
+    and `bias` (C,), when given, is added as each block is written out.
 
-    The taps are added into a channels-last canvas, one tap at a time; when
-    the columns are C-contiguous each add reads whole contiguous channel
+    A block's taps are added into a channels-last canvas, one tap at a time;
+    when the columns are C-contiguous each add reads whole contiguous channel
     rows.  Every pixel sums its taps in the same order as an NCHW canvas
-    would, so the result is bit-identical to one.  The returned array is
-    C-contiguous NCHW because a channels-last view would reorder later
-    reductions (bias gradients, FID moments) and change their bits.
+    would, so the result is bit-identical to one.  Blocks hold about
+    COL2IM_BLOCK_BYTES of columns, so no call holds the whole batch's, and
+    every block holds two images or more (a lone last image joins the block
+    before): each block's GEMM then has two rows or more, and gives the bits
+    of the whole-batch GEMM, where a one-row product would run as a BLAS GEMV
+    and sum differently.  Callers keep their weight and bias gradients as
+    whole-batch sums, since blocking those would reorder the sums.  The
+    returned array is C-contiguous NCHW because a channels-last view would
+    reorder later reductions (bias gradients, FID moments) and change their
+    bits.
     """
     n, c, h, w = x_shape
     oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
-    cols = cols.reshape(n, oh, ow, kernel, kernel, c)
-    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, :, i, j]
-    del cols  # the caller holds no reference: free the columns before the copy
-    return np.ascontiguousarray(
-        xp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
+    per_image = oh * ow * kernel * kernel * c * 4  # float32 bytes
+    bounds = list(range(0, n, max(2, COL2IM_BLOCK_BYTES // per_image))) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for a, b in zip(bounds, bounds[1:]):
+        cols = columns(a, b).reshape(b - a, oh, ow, kernel, kernel, c)
+        if a == 0:
+            out = np.empty(x_shape, dtype=cols.dtype)
+            canvas = np.empty((max(np.diff(bounds)), h + 2 * padding, w + 2 * padding, c),
+                              dtype=cols.dtype)
+        xp = canvas[:b - a]
+        xp.fill(0)
+        for i in range(kernel):
+            for j in range(kernel):
+                xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, :, i, j]
+        image = xp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+        if bias is None:
+            out[a:b] = image
+        else:
+            np.add(image, bias[:, None, None], out=out[a:b])
+    return out
 
 
 def _tap_major_view(cols: np.ndarray, kernel: int) -> np.ndarray:
@@ -221,7 +250,8 @@ class ConvLayer:
         self.grad_b += dy.sum(axis=(0, 2, 3))
         w_mat = self.entry.weights.reshape(out_c, -1)
         return _col2im(
-            _tap_major_view(np.einsum("of,nol->nlf", w_mat, dy_mat, optimize=True), self.kernel),
+            lambda a, b: _tap_major_view(
+                np.einsum("of,nol->nlf", w_mat, dy_mat[a:b], optimize=True), self.kernel),
             self._x_shape, self.kernel, self.stride, self.padding)
 
 
@@ -250,18 +280,19 @@ class ConvTransposeLayer:
         out_c = self.entry.weights.shape[1]
         oh, ow = self._out_hw(h, w)
         x_mat = x.reshape(n, in_c, h * w)
-        if n * h * w > 1:
-            # tap-major (N, h*w, k*k, out_c) columns, C-contiguous
-            w_mat = self.entry.weights.transpose(0, 2, 3, 1).reshape(in_c, -1)
-            cols = np.einsum("if,nil->nlf", w_mat, x_mat, optimize=True)
-        else:
-            # a one-row product runs as a BLAS GEMV, which splits its columns
-            # between threads by position: permuting them would change bits
-            w_mat = self.entry.weights.reshape(in_c, -1)
-            cols = _tap_major_view(np.einsum("if,nil->nlf", w_mat, x_mat, optimize=True),
-                                   self.kernel)
-        y = _col2im(cols, (n, out_c, oh, ow), self.kernel, self.stride, self.padding)
-        y += self.entry.bias[None, :, None, None]
+        # tap-major (N, h*w, k*k, out_c) columns, C-contiguous, from permuted
+        # weights; but a one-row product runs as a BLAS GEMV, which splits its
+        # columns between threads by position: permuting them would change bits
+        permute = n * h * w > 1
+        weights = self.entry.weights.transpose(0, 2, 3, 1) if permute else self.entry.weights
+        w_mat = weights.reshape(in_c, -1)
+
+        def columns(a, b):
+            cols = np.einsum("if,nil->nlf", w_mat, x_mat[a:b], optimize=True)
+            return cols if permute else _tap_major_view(cols, self.kernel)
+
+        y = _col2im(columns, (n, out_c, oh, ow), self.kernel, self.stride, self.padding,
+                    self.entry.bias)
         if train:
             self._x_mat = x_mat
             self._x_hw = (h, w)

@@ -1,8 +1,11 @@
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -400,10 +403,16 @@ class TestBackward:
 
     @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "elu", "sigmoid", "tanh"])
     def test_conv_gradients_match_finite_differences(self, activation):
-        rng = np.random.default_rng(hash(activation) % 2 ** 31)
+        rng = np.random.default_rng(zlib.crc32(activation.encode()))
         genome = make_genome(G.DISCRIMINATOR, [(0, G.CONV, 3, activation)])
         net, _ = build(genome, data_shape=(2, 6, 6), rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 2, 6, 6))
+        if activation in ("relu", "leaky_relu"):
+            # a central difference across the kink at 0 is no derivative:
+            # redraw x until every conv pre-activation is 1e-3 or more from it
+            conv = next(op for op in net.ops if isinstance(op, B.ConvLayer))
+            while np.abs(conv.forward(x, train=False)).min() < 1e-3:
+                x = rng.standard_normal(x.shape)
         upstream = rng.standard_normal(2)
         assert finite_diff_max_rel_err(net, x, upstream, input_stride=7) < 1e-4
 
@@ -507,13 +516,22 @@ BLAS_TILING = ("ConvTransposeLayer.forward matches the NCHW scatter only while t
                "that assumption broke on {}")
 
 
+def images_per_block(positions, row):
+    """Images in a full `_col2im` block of `positions` column rows of `row`
+    float32 entries per image."""
+    return max(2, B.COL2IM_BLOCK_BYTES // (positions * row * 4))
+
+
 def transpose_conv_outputs(hw):
     """Yields ((n, in_c, out_c), layer output, NCHW-scatter reference) for
     random transpose convs on hw inputs.  out_c runs up to 300, so the
     GEMM's N = 16*out_c spans several BLAS micro-tiles and thread splits.
     On 1x1 and 2x2 inputs in_c also runs up to 600 at batch 1-8, the wide,
     short GEMMs a generator grown from a 1x1 input runs; batch 1 on a 1x1
-    input is the one-row product (a GEMV) the layer must not permute."""
+    input is the one-row product (a GEMV) the layer must not permute.  At
+    7x7 and 14x14 one batch spans three `_col2im` blocks, and on 1x1 inputs
+    one leaves a lone image after three full blocks, which must not be
+    multiplied as a one-row block."""
     rng = np.random.default_rng(hw[0] * 100 + hw[1])
     cases = [(rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 40)) for _ in range(6)]
     max_n = max(2, 3000 // (hw[0] * hw[1]))  # keeps the reference's columns small
@@ -522,6 +540,13 @@ def transpose_conv_outputs(hw):
     if hw[0] * hw[1] <= 4:
         cases += [(n, rng.integers(33, 601), rng.integers(1, 301))
                   for n in (1, 1, 1, 1, rng.integers(2, 9), rng.integers(2, 9))]
+    if hw[0] >= 7:  # three blocks, the last of two images
+        out_c = rng.integers(16, 65)
+        cases.append((2 * images_per_block(hw[0] * hw[1], 16 * out_c) + 2,
+                      rng.integers(1, 130), out_c))
+    if hw == (1, 1):  # three full blocks and one image, which joins the third
+        out_c = rng.integers(200, 301)
+        cases.append((3 * images_per_block(1, 16 * out_c) + 1, rng.integers(33, 601), out_c))
     for n, in_c, out_c in cases:
         entry, x = random_layer_case(rng, (in_c, out_c, 4, 4), (out_c,), (n, in_c) + hw)
         y = B.ConvTransposeLayer(entry, 4, 2, 1).forward(x, train=False)
@@ -580,8 +605,14 @@ class TestConvLayout:
     @pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), (3, 1, 1), (1, 1, 0)])
     def test_conv_backward(self, hw, kernel, stride, padding):
         rng = np.random.default_rng(hw[0] * 100 + hw[1] + 10 * kernel + stride)
-        for _ in range(4):
-            n, in_c, out_c = rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 81)
+        cases = [(rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 81))
+                 for _ in range(4)]
+        if hw == (14, 14):  # three blocks, the last of two images
+            in_c = rng.integers(16, 40)
+            positions = math.prod(B._conv_out_hw(*hw, kernel, stride, padding))
+            cases.append((2 * images_per_block(positions, kernel * kernel * in_c) + 2,
+                          in_c, rng.integers(1, 81)))
+        for n, in_c, out_c in cases:
             entry, x = random_layer_case(rng, (out_c, in_c, kernel, kernel), (out_c,),
                                          (n, in_c) + hw)
             layer = B.ConvLayer(entry, kernel, stride, padding)
@@ -592,6 +623,20 @@ class TestConvLayout:
                               dy.reshape(n, out_c, -1), optimize=True)
             assert dx.flags.c_contiguous
             assert np.array_equal(dx, col2im_nchw(dcols, x.shape, kernel, stride, padding))
+
+    def test_transpose_conv_forward_holds_no_whole_column_buffer(self):
+        # at the eval chunk of mnist-eval's second transpose conv the whole
+        # batch's columns would be 205 MB against a 51 MB output
+        rng = np.random.default_rng(7)
+        entry, x = random_layer_case(rng, (128, 64, 4, 4), (64,), (256, 128, 14, 14))
+        layer = B.ConvTransposeLayer(entry, 4, 2, 1)
+        tracemalloc.start()
+        try:
+            y = layer.forward(x, train=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + 4 * B.COL2IM_BLOCK_BYTES, (peak, y.nbytes)
 
 
 SPECIAL_VALUES = np.concatenate([
