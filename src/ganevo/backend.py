@@ -348,7 +348,7 @@ class ActivationOp:
             return dy * np.where(self._cache > 0, one, slope)
         if self.name == "elu":
             x, y = self._cache
-            return dy * np.where(x > 0, 1.0, y + ELU_ALPHA).astype(dy.dtype)
+            return dy * np.where(x > 0, 1.0, y + ELU_ALPHA)
         if self.name == "sigmoid":
             s = self._cache
             return dy * s * (1.0 - s)

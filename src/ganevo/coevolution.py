@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,13 +55,12 @@ class MetricsRecord:
     g_species_count: int
     d_threshold: float
     g_threshold: float
-    wall_seconds: float  # last, and never written to a metrics line
 
     def to_line(self) -> str:
-        """Self-describing key=value line; wall clock is deliberately left
-        out so equal-seed runs produce byte-identical metrics files."""
+        """Self-describing key=value line.  It holds no wall clock, so
+        equal-seed runs produce byte-identical metrics files."""
         parts = [f"schema={METRICS_SCHEMA}"]
-        for f in dataclasses.fields(self)[:-1]:
+        for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             # f.type is the annotation's text: annotations are postponed here
             shown = str(value) if f.type == "int" else repr(float(value))
@@ -83,8 +81,8 @@ class MetricsRecord:
         schema = pairs.pop("schema", None)
         if schema != str(METRICS_SCHEMA):
             raise ValueError(f"unsupported metrics schema {schema}")
-        kwargs = {"wall_seconds": 0.0}
-        for f in dataclasses.fields(cls)[:-1]:
+        kwargs = {}
+        for f in dataclasses.fields(cls):
             if f.name not in pairs:
                 raise ValueError(f"metrics line has no {f.name}")
             try:
@@ -253,7 +251,6 @@ def best_generator_network(state: EvolutionState, config) -> NetworkInstance | N
 def run_generation(state: EvolutionState, config) -> tuple[EvolutionState, MetricsRecord]:
     """Execute one full generation of a RunConfig in place; returns the
     metrics record."""
-    start = time.perf_counter()
     data = state.data_source
     parents = {role: getattr(state, name) for role, name in POPULATIONS.items()}
 
@@ -278,36 +275,26 @@ def run_generation(state: EvolutionState, config) -> tuple[EvolutionState, Metri
     fake_rmse = generate_samples(best[GENERATOR].network, state.eval_noise, config.rmse_samples)
     rmse = rmse_metric(fake_rmse, real_rmse, config.rmse_samples)
 
-    species_count = {}
+    values = {"generation": state.generation, "best_fid": fid_map[best[GENERATOR].id],
+              "rmse": rmse}
     ids = itertools.count(max(ind.id for population in parents.values() for ind in population) + 1)
     for role, name in POPULATIONS.items():
-        species, state.threshold[role] = speciate(parents[role], state.threshold[role],
+        population = parents[role]
+        species, state.threshold[role] = speciate(population, state.threshold[role],
                                                   config.species_target)
-        species_count[role] = len(species)
-        offspring = next_generation(parents[role], species, fitness, config,
+        offspring = next_generation(population, species, fitness, config,
                                     state.rng["variation"], state.innovations)
-        children, state.prev_best[role] = _materialize(offspring, parents[role],
+        children, state.prev_best[role] = _materialize(offspring, population,
                                                        best[role].id, ids)
         setattr(state, name, children)
-
-    gens, discs = parents[GENERATOR], parents[DISCRIMINATOR]
-    record = MetricsRecord(
-        generation=state.generation,
-        d_best_fitness=fitness[best[DISCRIMINATOR].id],
-        d_mean_fitness=float(np.mean([fitness[d.id] for d in discs])),
-        g_best_fitness=fitness[best[GENERATOR].id],
-        g_mean_fitness=float(np.mean([fitness[g.id] for g in gens])),
-        best_fid=fid_map[best[GENERATOR].id],
-        rmse=rmse,
-        d_mean_layers=_mean_layers(discs),
-        g_mean_layers=_mean_layers(gens),
-        d_mean_gene_reuse=_mean_gene_reuse(discs),
-        g_mean_gene_reuse=_mean_gene_reuse(gens),
-        d_species_count=species_count[DISCRIMINATOR],
-        g_species_count=species_count[GENERATOR],
-        d_threshold=state.threshold[DISCRIMINATOR],
-        g_threshold=state.threshold[GENERATOR],
-        wall_seconds=time.perf_counter() - start,
-    )
+        prefix = role[0]  # "g" or "d", as the record's field names start
+        values.update({
+            f"{prefix}_best_fitness": fitness[best[role].id],
+            f"{prefix}_mean_fitness": float(np.mean([fitness[ind.id] for ind in population])),
+            f"{prefix}_mean_layers": _mean_layers(population),
+            f"{prefix}_mean_gene_reuse": _mean_gene_reuse(population),
+            f"{prefix}_species_count": len(species),
+            f"{prefix}_threshold": state.threshold[role],
+        })
     state.generation += 1
-    return state, record
+    return state, MetricsRecord(**values)

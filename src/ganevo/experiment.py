@@ -1,4 +1,4 @@
-"""Run configuration, dataset ingestion, persistence, the run drivers and
+"""Run configuration, dataset ingestion, persistence, the run driver and
 the CLI.
 
 Config files and metrics are line-oriented key=value text so runs diff
@@ -17,6 +17,7 @@ import math
 import os
 import shutil
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -419,11 +420,13 @@ def timings_path(out_dir: str) -> str:
     return os.path.join(out_dir, "timings.txt")
 
 
-def append_metrics(out_dir: str, record: MetricsRecord) -> None:
+def append_metrics(out_dir: str, record: MetricsRecord, seconds: float) -> None:
+    """Append the record's line to metrics.txt and its generation's wall
+    seconds to timings.txt."""
     with open(metrics_path(out_dir), "a", encoding="utf-8") as fh:
         fh.write(record.to_line() + "\n")
     with open(timings_path(out_dir), "a", encoding="utf-8") as fh:
-        fh.write(f"generation={record.generation} wall_seconds={record.wall_seconds!r}\n")
+        fh.write(f"generation={record.generation} wall_seconds={seconds!r}\n")
 
 
 def _truncate_stream(path: str, generation: int) -> None:
@@ -683,7 +686,6 @@ def dump_samples(network: NetworkInstance, n: int, out_dir: str, noise: NoiseSou
 
 def prepare_run_dir(config: RunConfig) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
-    save_config(config, os.path.join(config.out_dir, "config.txt"))
     # a fresh run starts from empty metrics streams and an empty checkpoint
     # directory, so it never rewrites the params file a state.json names
     open(metrics_path(config.out_dir), "w").close()
@@ -732,51 +734,43 @@ def init_state(config: RunConfig) -> EvolutionState:
     )
 
 
-def _evolution_loop(state: EvolutionState, config: RunConfig) -> list[MetricsRecord]:
-    """Run generations until config.generations, persisting as we go.
-
-    Metrics lines append to the run directory and a resumable checkpoint is
-    rewritten after every generation, so a failed run keeps its history.  The
-    final samples follow from the last checkpoint and are written after it:
-    a kill while they are written leaves a finished run, whose resume
-    rewrites them.
-    """
-    history = []
-    while state.generation < config.generations:
-        state, record = run_generation(state, config)
-        history.append(record)
-        append_metrics(config.out_dir, record)
-        write_checkpoint(state, config, config.out_dir)
-    dump_final_samples(state, config)
-    return history
-
-
 def run_evolution(config: RunConfig) -> tuple[list[MetricsRecord], EvolutionState]:
-    """Full run from fresh minimal populations.
-
-    Persists the resolved config, the metrics stream, a checkpoint per
-    generation and a final grid of generator samples into config.out_dir.
-    """
+    """Full run from fresh minimal populations: an emptied run directory and
+    init_state's generation-0 checkpoint, which resume_evolution runs."""
     prepare_run_dir(config)
-    state = init_state(config)
-    write_checkpoint(state, config, config.out_dir)
-    history = _evolution_loop(state, config)
-    return history, state
+    return resume_evolution(write_checkpoint(init_state(config), config, config.out_dir))
 
 
 def resume_evolution(checkpoint_dir: str, generations: int | None = None,
                      out_dir: str | None = None) -> tuple[list[MetricsRecord], EvolutionState]:
-    """Continue a checkpointed run; appends to the original metrics stream
-    after dropping any lines it holds for generations past the checkpoint."""
+    """Run a checkpointed run on to config.generations; the only generation
+    loop.
+
+    The config it runs, after the `generations` and `out_dir` overrides, goes
+    to config.txt, and the metrics and timings streams lose any lines past
+    the checkpoint.  Every generation then appends its metrics and timings
+    lines and rewrites the checkpoint, so a failed run keeps its history.
+    The final samples follow from the last checkpoint and are written after
+    it: a kill while they are written leaves a finished run, whose resume
+    rewrites them.
+    """
     state, config = read_checkpoint(checkpoint_dir)
     if generations is not None:
         config = dataclasses.replace(config, generations=generations)
     if out_dir is not None:
         config = dataclasses.replace(config, out_dir=out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
+    save_config(config, os.path.join(config.out_dir, "config.txt"))
     for path in (metrics_path(config.out_dir), timings_path(config.out_dir)):
         _truncate_stream(path, state.generation)
-    history = _evolution_loop(state, config)
+    history = []
+    while state.generation < config.generations:
+        start = time.perf_counter()
+        state, record = run_generation(state, config)
+        append_metrics(config.out_dir, record, time.perf_counter() - start)
+        write_checkpoint(state, config, config.out_dir)
+        history.append(record)
+    dump_final_samples(state, config)
     return history, state
 
 
@@ -789,7 +783,7 @@ def export_plot_data(run_dir: str) -> list[str]:
     os.makedirs(plot_dir, exist_ok=True)
     written = []
     for f in dataclasses.fields(MetricsRecord):
-        if f.name in ("generation", "wall_seconds"):
+        if f.name == "generation":
             continue
         path = os.path.join(plot_dir, f"{f.name}.dat")
         with open(path, "w", encoding="utf-8") as fh:

@@ -109,11 +109,11 @@ def train_pair(d_individual, g_individual, data_source, config,
         d_losses.append(d_loss(p_real, p_fake))
         adam_step(d_net.store, config.learning_rate)
 
-        # generator step: backprop through the (frozen) discriminator
+        # generator step: backprop through the (frozen) discriminator; the D
+        # weight gradients it adds are zeroed, unread, by D's next step
         fake = g_net.forward(noise.sample(config.batch_size), train=True)
         p = d_net.forward(fake, train=True)
         g_losses.append(g_loss(p))
-        d_net.zero_grads()
         d_fake_grad = d_net.backward(g_loss_grad(p).astype(d_net.dtype))
         g_net.zero_grads()
         g_net.backward(d_fake_grad)

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 from .genome import (
     ACTIVATIONS,
-    DISCRIMINATOR,
     LINEAR,
     SECTIONS,
     Gene,
     Genome,
     InnovationCounter,
     distance,
-    new_minimal_genome,
     section_boundary,
     spatial_kind,
 )
@@ -112,21 +110,6 @@ def mutate_with_events(genome: Genome, config, rng,
         )
 
     return Genome(role=genome.role, genes=tuple(genes), max_len=genome.max_len), events
-
-
-def mutation_rate_statistics(config, trials: int, rng,
-                             counter: InnovationCounter | None = None) -> dict[str, float]:
-    """Observed firing frequency of each mutation over fresh minimal genomes."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    counter = counter or InnovationCounter()
-    counts = {"add_layer": 0, "remove_layer": 0, "change_layer": 0}
-    for _ in range(trials):
-        base = new_minimal_genome(DISCRIMINATOR, rng, counter, config)
-        _, events = mutate_with_events(base, config, rng, counter)
-        for name, fired in events.items():
-            counts[name] += fired
-    return {name: count / trials for name, count in counts.items()}
 
 
 def speciate(individuals, threshold: float,

@@ -695,3 +695,19 @@ class TestActivationBytes:
             expected = dy * np.where(x > 0, 1.0, B.LEAKY_SLOPE).astype(dy.dtype)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(64,), (64, 128), (64, 64, 28, 28)])
+    def test_elu_backward_same_bytes_as_cast_form(self, shape, dtype):
+        rng = np.random.default_rng(len(shape))
+        x, dy = (rng.standard_normal((2,) + shape) * 50).astype(dtype)
+        op = B.ActivationOp("elu")
+        # the float64 case casts the signalling NaNs in too
+        with np.errstate(invalid="ignore", over="ignore"):
+            x.reshape(-1)[:SPECIAL_VALUES.size] = SPECIAL_VALUES
+            dy.reshape(-1)[-SPECIAL_VALUES.size:] = SPECIAL_VALUES
+            y = op.forward(x, train=True)
+            got = op.backward(dy)
+            expected = dy * np.where(x > 0, 1.0, y + B.ELU_ALPHA).astype(dy.dtype)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

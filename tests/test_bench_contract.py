@@ -1,8 +1,9 @@
-"""The benchmark's hooks bind to program names and read entry fields; a
-rename or a dropped field would otherwise show only as absent bench metrics
-or a failed trace run."""
+"""The benchmark's hooks and entry points bind to program names and read
+entry fields; a rename or a dropped field would otherwise show only as
+absent bench metrics, a failed trace run or a bench that does not start."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from conftest import make_genome
 from ganevo import experiment as E
 from ganevo import genome as G
 
-HOOKS_PATH = Path(__file__).resolve().parents[1] / "bench" / "hooks.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # spans whose computed info reads shapes, entry fields or checkpoint files
 SIZED_SPANS = (
@@ -23,13 +24,55 @@ SIZED_SPANS = (
 )
 
 
-@pytest.fixture
-def hooks(monkeypatch):
+def load_bench_module(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
-    spec = importlib.util.spec_from_file_location("ganevo_bench_hooks", HOOKS_PATH)
+    spec = importlib.util.spec_from_file_location(f"ganevo_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def hooks(monkeypatch):
+    return load_bench_module(monkeypatch, "hooks")
+
+
+@pytest.fixture
+def bench_api(monkeypatch, hooks):
+    """The entry points bench/run.py binds, found the way it finds them."""
+    return load_bench_module(monkeypatch, "run").Api(hooks, hooks.ganevo_modules())
+
+
+def run_files(run_dir):
+    """metrics.txt and the checkpoint and samples/ files by name, and
+    state.json with the run-specific out_dir left out."""
+    files = {p.relative_to(run_dir).as_posix(): p.read_bytes()
+             for sub in ("checkpoint", "samples") for p in (run_dir / sub).iterdir()}
+    files["metrics.txt"] = (run_dir / "metrics.txt").read_bytes()
+    state = json.loads(files.pop("checkpoint/state.json"))
+    del state["config"]["out_dir"]
+    return files, state
+
+
+def test_bench_api_binds_the_entry_points(bench_api):
+    for name in bench_api.NAMES:
+        assert getattr(bench_api, name) is getattr(E, name)
+
+
+def test_fresh_run_matches_the_bench_start(tmp_path, bench_api):
+    """A fresh run leaves the files of the bench's start: a checkpoint of
+    init_state's state, written at generations=1 and resumed for more."""
+    base = dict(dataset="ring2d", ring_modes=4, generator_population=2,
+                discriminator_population=2, batches_per_pair=2, batch_size=8,
+                fid_samples=16, rmse_samples=16, noise_dim=8, feature_range=(8, 32),
+                add_layer_rate=0.5, seed=3)
+    E.run_evolution(E.load_config(overrides=dict(base, generations=3,
+                                                 out_dir=str(tmp_path / "run"))))
+    bench_dir = str(tmp_path / "bench")
+    config = bench_api.load_config(overrides=dict(base, generations=1, out_dir=bench_dir))
+    ckpt = bench_api.write_checkpoint(bench_api.init_state(config), config, bench_dir)
+    bench_api.resume_evolution(ckpt, generations=3, out_dir=bench_dir)
+    assert run_files(tmp_path / "run") == run_files(tmp_path / "bench")
 
 
 def test_hooks_bind_and_record_sized_spans(tmp_path, hooks):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -314,10 +315,11 @@ class TestRunEvolution:
             E.resume_evolution(str(run / "checkpoint"), generations=4, out_dir=str(run))
             assert (run / "metrics.txt").read_text() == full, f"fault at step {n}"
             assert checkpoint_contents(run) == checkpoint_contents(tmp_path / "full" / "run")
-        # per checkpoint write: open and torn write of the params file and of
-        # state.json, the replace, the removal of the previous params file;
-        # after the last one, the open and write of the final samples
-        assert n - 1 == 2 * 6 + 2
+        # the open and torn write of config.txt; per checkpoint write: open and
+        # torn write of the params file and of state.json, the replace, the
+        # removal of the previous params file; after the last one, the open
+        # and write of the final samples
+        assert n - 1 == 2 * 6 + 4
 
     def test_kill_in_final_generation_keeps_samples_whole(self, tmp_path, monkeypatch):
         def files(directory):
@@ -343,8 +345,9 @@ class TestRunEvolution:
                 break  # the run finished: every write step of its last generation was hit
             E.resume_evolution(str(run / "checkpoint"), generations=3, out_dir=str(run))
             assert files(run / "samples") == full, f"fault at step {n}"
-        # the six checkpoint steps, then the samples file's open and torn write
-        assert n - 1 == 2 + 6
+        # config.txt's open and torn write, the six checkpoint steps, then the
+        # samples file's open and torn write
+        assert n - 1 == 2 + 2 + 6
 
     def test_resume_of_finished_run_rewrites_samples(self, tmp_path):
         E.run_evolution(tiny_config(tmp_path, generations=2))
@@ -368,6 +371,18 @@ class TestRunEvolution:
                                         generations=4, out_dir=str(moved))
         assert [r.generation for r in history] == [2, 3]
         assert len(E.read_metrics(str(moved))) == 2
+
+    def test_resume_echoes_the_config_it_runs(self, tmp_path):
+        config = tiny_config(tmp_path, generations=2)
+        E.run_evolution(config)
+        ckpt = str(tmp_path / "run" / "checkpoint")
+        moved = tmp_path / "elsewhere"
+        E.resume_evolution(ckpt, generations=4, out_dir=str(moved))
+        assert E.load_config(str(moved / "config.txt")) == \
+            dataclasses.replace(config, generations=4, out_dir=str(moved))
+        E.resume_evolution(ckpt, generations=4)
+        assert E.load_config(str(tmp_path / "run" / "config.txt")) == \
+            dataclasses.replace(config, generations=4)
 
     def test_offspring_genomes_always_validate(self, tmp_path):
         config = tiny_config(tmp_path, generations=4, add_layer_rate=0.6,

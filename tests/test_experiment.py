@@ -303,15 +303,11 @@ class TestMetricsPersistence:
             g_best_fitness=0.25, g_mean_fitness=0.5, best_fid=0.25, rmse=1.0,
             d_mean_layers=1.5, g_mean_layers=2.0,
             d_mean_gene_reuse=0.5, g_mean_gene_reuse=0.75, d_species_count=3,
-            g_species_count=2, d_threshold=2.2, g_threshold=1.8,
-            wall_seconds=12.5)
+            g_species_count=2, d_threshold=2.2, g_threshold=1.8)
 
     def test_line_round_trip(self):
         record = self._record()
-        parsed = E.MetricsRecord.from_line(record.to_line())
-        assert parsed.best_fid == record.best_fid
-        assert parsed.d_species_count == 3
-        assert parsed.wall_seconds == 0.0  # not persisted
+        assert E.MetricsRecord.from_line(record.to_line()) == record
 
     def test_wall_seconds_never_in_line(self):
         assert "wall_seconds" not in self._record().to_line()
@@ -319,25 +315,26 @@ class TestMetricsPersistence:
     def test_persist_and_read(self, tmp_path):
         records = [self._record(i) for i in range(5)]
         for record in records:
-            E.append_metrics(str(tmp_path), record)
-        loaded = E.read_metrics(str(tmp_path))
-        assert [r.generation for r in loaded] == [0, 1, 2, 3, 4]
+            E.append_metrics(str(tmp_path), record, 0.5 * record.generation)
+        assert E.read_metrics(str(tmp_path)) == records
         assert len((tmp_path / "metrics.txt").read_text().splitlines()) == 5
+        assert (tmp_path / "timings.txt").read_text().splitlines() == [
+            f"generation={g} wall_seconds={0.5 * g!r}" for g in range(5)]
 
     def test_torn_last_line_skipped_at_every_cut(self, tmp_path):
         first, last = self._record(0), self._record(1)
         for record in (first, last):
-            E.append_metrics(str(tmp_path), record)
+            E.append_metrics(str(tmp_path), record, 1.0)
         path = tmp_path / "metrics.txt"
         data = path.read_bytes()
         for cut in range(data.index(b"\n") + 1, len(data)):
             path.write_bytes(data[:cut])
-            assert E.read_metrics(str(tmp_path)) == [dataclasses.replace(first, wall_seconds=0.0)]
+            assert E.read_metrics(str(tmp_path)) == [first]
         path.write_bytes(data)
         assert [r.generation for r in E.read_metrics(str(tmp_path))] == [0, 1]
 
     @pytest.mark.parametrize("name,item", [pytest.param(name, "", id=name) for name in (
-        ["schema"] + [f.name for f in dataclasses.fields(E.MetricsRecord)][:-1])] + [
+        ["schema"] + [f.name for f in dataclasses.fields(E.MetricsRecord)])] + [
         pytest.param("rmse", "rmse", id="item-without-equals"),
         pytest.param("generation", "generation=x", id="int-does-not-parse"),
         pytest.param("best_fid", "best_fid=abc", id="float-does-not-parse"),
@@ -351,7 +348,7 @@ class TestMetricsPersistence:
 
     def test_malformed_line_named_with_its_number(self, tmp_path):
         for generation in range(2):
-            E.append_metrics(str(tmp_path), self._record(generation))
+            E.append_metrics(str(tmp_path), self._record(generation), 1.0)
         with open(tmp_path / "metrics.txt", "a") as fh:
             fh.write("schema=1 generation=2 rmse\n")
         with pytest.raises(ValueError, match=r"metrics\.txt:3: metrics item 'rmse'"):
@@ -684,10 +681,10 @@ class TestPlotExport:
             g_best_fitness=0.5, g_mean_fitness=0.5, best_fid=0.5 - 0.1 * i,
             rmse=1.0, d_mean_layers=1.0, g_mean_layers=1.0,
             d_mean_gene_reuse=0.0, g_mean_gene_reuse=0.0, d_species_count=1,
-            g_species_count=1, d_threshold=2.0, g_threshold=2.0, wall_seconds=0.0)
+            g_species_count=1, d_threshold=2.0, g_threshold=2.0)
             for i in range(3)]
         for record in records:
-            E.append_metrics(str(tmp_path), record)
+            E.append_metrics(str(tmp_path), record, 1.0)
         written = E.export_plot_data(str(tmp_path))
         fid_file = tmp_path / "plot" / "best_fid.dat"
         assert str(fid_file) in written
