@@ -33,14 +33,14 @@ from .coevolution import (
     best_generator_network,
     run_generation,
 )
-from .fitness import Embedding, identity_embedding, random_projection_embedding
+from .fitness import identity_embedding, random_projection_embedding
 from .gan import NoiseSource, generate_samples
 from .genome import (DISCRIMINATOR, GENERATOR, Gene, Genome, InnovationCounter,
                      new_minimal_genome, validate)
 
 DATA_DIR_ENV = "GANEVO_DATA_DIR"
 DATASETS = ("mnist", "fashion-mnist", "ring2d")
-EMBEDDINGS = ("identity", "randproj")
+EMBEDDINGS = {"identity": identity_embedding, "randproj": random_projection_embedding}
 
 IDX_IMAGES_MAGIC = 0x00000803
 
@@ -48,7 +48,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 # real samples fit the generator's tanh output range
 RING_SCALE_MARGIN = 1.1
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 # The JSON shape of what write_checkpoint writes to state.json: a type, or a
 # tuple of types, for a value; an object of exactly these keys; or a list
@@ -185,7 +185,7 @@ def validate_config(config: RunConfig) -> None:
     if config.pairing not in PAIRING_STRATEGIES:
         raise ConfigError(f"pairing: {config.pairing!r} not one of {PAIRING_STRATEGIES}")
     if config.embedding not in EMBEDDINGS:
-        raise ConfigError(f"embedding: {config.embedding!r} not one of {EMBEDDINGS}")
+        raise ConfigError(f"embedding: {config.embedding!r} not one of {tuple(EMBEDDINGS)}")
     if config.ring_radius <= 0:
         raise ConfigError(f"ring_radius: {config.ring_radius} must be > 0")
     if config.ring_sigma < 0:
@@ -253,7 +253,8 @@ def _read_be_u32(data: bytes, offset: int, path: str) -> int:
 
 
 def _parse_idx(path: str) -> np.ndarray:
-    """An IDX image file's pixels as a (count, 1, rows, cols) uint8 array."""
+    """An IDX image file's pixels as a (count, 1, rows, cols) uint8 array: a
+    read-only view of the file's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = _read_be_u32(data, 0, path)
@@ -274,7 +275,7 @@ def _parse_idx(path: str) -> np.ndarray:
         raise IdxFormatError(
             f"{path}: truncated at byte offset {len(data)}, expected {expected} bytes")
     pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols, offset=header)
-    return pixels.reshape(count, 1, rows, cols).copy()
+    return pixels.reshape(count, 1, rows, cols)
 
 
 class IdxSource:
@@ -378,19 +379,8 @@ def make_data_source(config: RunConfig, rng):
     if config.dataset == "ring2d":
         return Ring2dSource(config.ring_modes, config.ring_radius, config.ring_sigma, rng,
                             scale=RING_SCALE_MARGIN * config.ring_radius)
-    if config.dataset in ("mnist", "fashion-mnist"):
-        images = os.path.join(dataset_root(config), config.dataset,
-                              "train-images-idx3-ubyte")
-        return load_idx_dataset(images, rng=rng)
-    raise ConfigError(f"dataset: unknown dataset {config.dataset!r}")
-
-
-def make_embedding(name: str) -> Embedding:
-    if name == "identity":
-        return identity_embedding()
-    if name == "randproj":
-        return random_projection_embedding()
-    raise ConfigError(f"embedding: unknown embedding {name!r}")
+    images = os.path.join(dataset_root(config), config.dataset, "train-images-idx3-ubyte")
+    return load_idx_dataset(images, rng=rng)
 
 
 def mode_coverage(fake_samples: np.ndarray, mode_centers: np.ndarray,
@@ -539,10 +529,12 @@ def params_path(ckpt: str, generation: int) -> str:
 
 def write_checkpoint(state: EvolutionState, config: RunConfig,
                      out_dir: str) -> str:
-    """Persist everything needed to resume bit-exactly.  The params file is
-    named by generation and state.json, which records that generation, is
-    replaced after it, so a kill at any step leaves a state.json whose
-    params file is whole."""
+    """Persist everything needed to resume bit-exactly, in out_dir/checkpoint.
+    The run directory itself is not recorded: read_checkpoint takes it to be
+    the one that holds the checkpoint.  The params file is named by
+    generation and state.json, which records that generation, is replaced
+    after it, so a kill at any step leaves a state.json whose params file is
+    whole."""
     ckpt = checkpoint_dir(out_dir)
     os.makedirs(ckpt, exist_ok=True)
     params_file = params_path(ckpt, state.generation)
@@ -552,7 +544,7 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
         params_length = fh.tell()
     doc = {
         "version": CHECKPOINT_VERSION,
-        "config": dataclasses.asdict(config),
+        "config": {k: v for k, v in dataclasses.asdict(config).items() if k != "out_dir"},
         "generation": state.generation,
         "next_innovation_id": state.innovations.next,
         "prev_best": state.prev_best,
@@ -574,7 +566,8 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
 
 def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     """Inverse of write_checkpoint: the state init_state builds from the
-    saved config, with every saved value restored into it.
+    saved config, with every saved value restored into it.  The config's
+    out_dir is the directory that holds `ckpt`.
 
     Raises CheckpointError, naming the file, on a state.json that is not a
     JSON object, is of another version or breaks the format anywhere, or a
@@ -592,7 +585,11 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
         raise CheckpointError(f"{state_file}: unsupported checkpoint version "
                               f"{doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
     _conform(doc, _STATE_SHAPE, state_file)
-    config = config_from_dict(doc["config"])
+    if "out_dir" in doc["config"]:
+        raise CheckpointError(f"{state_file}: 'config' records an out_dir; "
+                              "a run lives in the directory that holds its checkpoint")
+    config = config_from_dict(dict(doc["config"],
+                                   out_dir=os.path.normpath(os.path.join(ckpt, os.pardir))))
     params_file = params_path(ckpt, doc["generation"])
     if not os.path.exists(params_file):
         raise CheckpointError(f"{params_file}: params file missing")
@@ -730,7 +727,7 @@ def init_state(config: RunConfig) -> EvolutionState:
         train_noise=NoiseSource(config.noise_dim, rng["noise_train"]),
         eval_noise=NoiseSource(config.noise_dim, rng["noise_eval"]),
         data_source=make_data_source(config, rng["data"]),
-        embedding=make_embedding(config.embedding),
+        embedding=EMBEDDINGS[config.embedding](),
     )
 
 
@@ -746,13 +743,14 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     """Run a checkpointed run on to config.generations; the only generation
     loop.
 
-    The config it runs, after the `generations` and `out_dir` overrides, goes
-    to config.txt, and the metrics and timings streams lose any lines past
-    the checkpoint.  Every generation then appends its metrics and timings
-    lines and rewrites the checkpoint, so a failed run keeps its history.
-    The final samples follow from the last checkpoint and are written after
-    it: a kill while they are written leaves a finished run, whose resume
-    rewrites them.
+    The run continues in the directory that holds the checkpoint unless
+    `out_dir` forks it elsewhere.  The config it runs, after the
+    `generations` and `out_dir` overrides, goes to config.txt, and the
+    metrics and timings streams lose any lines past the checkpoint.  Every
+    generation then appends its metrics and timings lines and rewrites the
+    checkpoint, so a failed run keeps its history.  The final samples follow
+    from the last checkpoint and are written after it: a kill while they are
+    written leaves a finished run, whose resume rewrites them.
     """
     state, config = read_checkpoint(checkpoint_dir)
     if generations is not None:
@@ -835,8 +833,7 @@ def main(argv=None) -> int:
         else:
             written = export_plot_data(args.run_dir)
             print(f"wrote {len(written)} plot files under {os.path.join(args.run_dir, 'plot')}")
-    except (ConfigError, CheckpointError, IdxFormatError, MetricsError,
-            FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, IdxFormatError, MetricsError, OSError) as exc:
         print(f"ganevo: {exc}", file=sys.stderr)
         return 2
     return 0

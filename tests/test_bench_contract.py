@@ -3,7 +3,8 @@ entry fields; a rename or a dropped field would otherwise show only as
 absent bench metrics, a failed trace run or a bench that does not start."""
 
 import importlib.util
-import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,14 +45,11 @@ def bench_api(monkeypatch, hooks):
 
 
 def run_files(run_dir):
-    """metrics.txt and the checkpoint and samples/ files by name, and
-    state.json with the run-specific out_dir left out."""
+    """metrics.txt and the checkpoint and samples/ files' bytes by name."""
     files = {p.relative_to(run_dir).as_posix(): p.read_bytes()
              for sub in ("checkpoint", "samples") for p in (run_dir / sub).iterdir()}
     files["metrics.txt"] = (run_dir / "metrics.txt").read_bytes()
-    state = json.loads(files.pop("checkpoint/state.json"))
-    del state["config"]["out_dir"]
-    return files, state
+    return files
 
 
 def test_bench_api_binds_the_entry_points(bench_api):
@@ -106,3 +104,26 @@ def test_hooks_bind_and_record_sized_spans(tmp_path, hooks):
     assert set(patcher.missing) <= {"mutate"}
     sized = {span[hooks.NAME] for span in recorder.spans if span[hooks.INFO] is not None}
     assert set(SIZED_SPANS) <= sized
+
+
+def test_probe_resumes_into_its_own_directory(tmp_path):
+    """bench/probe.py times setup_s by resuming a run's checkpoint with
+    out_dir set to a probe directory: it reports the first generation's
+    start and leaves every file of the probed run as it was."""
+    def files(directory):
+        return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+    run = tmp_path / "run"
+    E.run_evolution(E.load_config(overrides=dict(
+        dataset="ring2d", ring_modes=4, generations=1, generator_population=2,
+        discriminator_population=2, batches_per_pair=2, batch_size=8, fid_samples=16,
+        rmse_samples=16, noise_dim=8, seed=3, out_dir=str(run))))
+    before = files(run)
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "probe.py"), str(BENCH.parent / "src"),
+         str(run / "checkpoint"), str(tmp_path / "probe")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))  # leave bench/ as it is
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("probe-ns ") for line in done.stdout.splitlines())
+    assert files(run) == before

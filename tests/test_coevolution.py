@@ -43,11 +43,10 @@ def case_config(tmp_path, case, run, **overrides):
 
 
 def checkpoint_contents(run_dir):
-    """Params file bytes and state.json with the run-specific out_dir left out."""
+    """The bytes of state.json and of the params file it names."""
     ckpt = run_dir / "checkpoint"
-    state = json.loads((ckpt / "state.json").read_text())
-    del state["config"]["out_dir"]
-    return (ckpt / f"params-{state['generation']}.bin").read_bytes(), state
+    state = (ckpt / "state.json").read_bytes()
+    return state, (ckpt / f"params-{json.loads(state)['generation']}.bin").read_bytes()
 
 
 class Fault:
@@ -306,13 +305,12 @@ class TestRunEvolution:
             with monkeypatch.context() as patched:
                 inject_faults(patched, fault)
                 try:
-                    E.resume_evolution(str(run / "checkpoint"), generations=4,
-                                       out_dir=str(run))
+                    E.resume_evolution(str(run / "checkpoint"), generations=4)
                 except OSError:
                     pass
             if fault.steps < n:
                 break  # the run finished: every step of a checkpoint write was hit
-            E.resume_evolution(str(run / "checkpoint"), generations=4, out_dir=str(run))
+            E.resume_evolution(str(run / "checkpoint"), generations=4)
             assert (run / "metrics.txt").read_text() == full, f"fault at step {n}"
             assert checkpoint_contents(run) == checkpoint_contents(tmp_path / "full" / "run")
         # the open and torn write of config.txt; per checkpoint write: open and
@@ -337,13 +335,12 @@ class TestRunEvolution:
             with monkeypatch.context() as patched:
                 inject_faults(patched, fault)
                 try:
-                    E.resume_evolution(str(run / "checkpoint"), generations=3,
-                                       out_dir=str(run))
+                    E.resume_evolution(str(run / "checkpoint"), generations=3)
                 except OSError:
                     pass
             if fault.steps < n:
                 break  # the run finished: every write step of its last generation was hit
-            E.resume_evolution(str(run / "checkpoint"), generations=3, out_dir=str(run))
+            E.resume_evolution(str(run / "checkpoint"), generations=3)
             assert files(run / "samples") == full, f"fault at step {n}"
         # config.txt's open and torn write, the six checkpoint steps, then the
         # samples file's open and torn write
@@ -371,6 +368,37 @@ class TestRunEvolution:
                                         generations=4, out_dir=str(moved))
         assert [r.generation for r in history] == [2, 3]
         assert len(E.read_metrics(str(moved))) == 2
+
+    @pytest.mark.parametrize("case", ["copied", "relative"])
+    def test_resume_continues_beside_its_checkpoint(self, tmp_path, monkeypatch, case):
+        """The directory that holds the checkpoint is the run's: a copied run
+        resumes into the copy and leaves the original as it was, and a run
+        started with a relative out_dir resumes from another working
+        directory into the same place."""
+        def files(directory):
+            return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+        if case == "copied":
+            E.run_evolution(tiny_config(tmp_path / "a", generations=2))
+            original = files(tmp_path / "a")
+            run = tmp_path / "b" / "run"
+            shutil.copytree(tmp_path / "a" / "run", run)
+            ckpt = str(run / "checkpoint")
+        else:
+            monkeypatch.chdir(tmp_path)
+            E.run_evolution(tiny_config(tmp_path, generations=2, out_dir="run"))
+            run = tmp_path / "run"
+            (tmp_path / "elsewhere").mkdir()
+            monkeypatch.chdir(tmp_path / "elsewhere")
+            ckpt = os.path.join(os.pardir, "run", "checkpoint")
+        history, _ = E.resume_evolution(ckpt, generations=3)
+        assert [r.generation for r in history] == [2]
+        assert len(E.read_metrics(str(run))) == 3
+        assert sorted(os.listdir(run / "checkpoint")) == ["params-3.bin", "state.json"]
+        if case == "copied":
+            assert files(tmp_path / "a") == original
+        else:
+            assert list((tmp_path / "elsewhere").iterdir()) == []
 
     def test_resume_echoes_the_config_it_runs(self, tmp_path):
         config = tiny_config(tmp_path, generations=2)

@@ -466,25 +466,12 @@ class TestCheckpointErrors:
         state, _ = read_written(tmp / "intact", doc, blob)
         assert all(i.param_store is not None for i in state.generators)
 
-    def test_version_one_rejected(self, saved_checkpoint):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    def test_older_version_rejected(self, saved_checkpoint, version):
         doc, blob, tmp = saved_checkpoint
-        with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 1"):
-            read_written(tmp / "v1", dict(doc, version=1), blob)
-
-    def test_version_two_rejected(self, saved_checkpoint):
-        doc, blob, tmp = saved_checkpoint
-        with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 2"):
-            read_written(tmp / "v2", dict(doc, version=2), blob)
-
-    def test_version_three_rejected(self, saved_checkpoint):
-        doc, blob, tmp = saved_checkpoint
-        with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 3"):
-            read_written(tmp / "v3", dict(doc, version=3), blob)
-
-    def test_version_four_rejected(self, saved_checkpoint):
-        doc, blob, tmp = saved_checkpoint
-        with pytest.raises(E.CheckpointError, match="state.json: unsupported checkpoint version 4"):
-            read_written(tmp / "v4", dict(doc, version=4), blob)
+        with pytest.raises(E.CheckpointError,
+                           match=f"state.json: unsupported checkpoint version {version}"):
+            read_written(tmp / f"v{version}", dict(doc, version=version), blob)
 
     def test_missing_top_level_key_named(self, saved_checkpoint):
         doc, blob, tmp = saved_checkpoint
@@ -555,6 +542,7 @@ class TestCheckpointErrors:
         (("prev_best", "discriminator"), "abc"),
         (("prev_best", "generator"), 99),
         (("populations", "discriminators", 1, "id"), 12),  # the first discriminator's id
+        (("config", "out_dir"), "elsewhere"),  # a run lives where its checkpoint is
     ]])
     def test_malformed_nested_value_named(self, run_checkpoint, path, value):
         doc, blob, tmp = run_checkpoint
@@ -723,8 +711,11 @@ class TestCli:
         pytest.param(["run", "--dataset", "mnist", "--out-dir", "{tmp}/run"],
                      "byte offset 0", id="idx"),
         pytest.param(["run", "--config", "{tmp}/missing.cfg"], "missing.cfg", id="no-config"),
+        pytest.param(["run", "--config", "{tmp}"], "Is a directory", id="config-dir"),
         pytest.param(["resume", "--checkpoint", "{tmp}"], "state.json: not a JSON document",
                      id="checkpoint"),
+        pytest.param(["resume", "--checkpoint", "{tmp}/state.json"], "Not a directory",
+                     id="checkpoint-file"),
         pytest.param(["metrics-export", "--run-dir", "{tmp}/missing"], "metrics.txt",
                      id="no-run-dir"),
         pytest.param(["metrics-export", "--run-dir", "{tmp}/bad"],
