@@ -1,17 +1,29 @@
 """Phenotype construction and neural execution.
 
 Dense, convolution and transpose-convolution layers with explicit numpy
-forward and backward passes (convolutions via im2col, so gradients are exact
-and checkable against finite differences), Adam updates, and parameter
-transfer between generations.
+forward and backward passes (convolutions as GEMMs over image columns, so
+gradients are exact and checkable against finite differences), Adam updates,
+and parameter transfer between generations.
 
-Convolutions are one einsum GEMM each.  Where its output is scattered back
-onto an image (the transpose-conv forward, the conv input gradient),
-`_col2im` runs that GEMM and its scatter for a block of two or more images
-at a time, about one core's L2 of columns, into a C-contiguous NCHW output,
-bit-identical to one whole-batch GEMM and NCHW scatter; no call holds the
-whole batch's column buffer.  The weight and bias gradients stay whole-batch
-sums: blocking them would reorder their sums and change their bits.
+Convolutions are one GEMM each.  The GEMMs that read k x k image windows
+(the conv forward and weight gradient, both transpose-conv backward
+products) gather their operand from a strided view of the windows straight
+into the order their matmul reads, in one copy.  Byte for byte and stride
+for stride it is the operand numpy's einsum built by copying a C-contiguous
+(N, C*k*k, L) column buffer into contraction order, so the products keep
+einsum's bits at any BLAS thread count; where N or L is 1 einsum's operand
+was a view of that buffer, whose strides pick the BLAS or numpy loop, and
+`_gather` keeps the buffer's order.  The conv caches its windows, not its
+columns, and the transpose-conv backward frees one column buffer before it
+gathers the next.  These GEMMs run over the whole batch: blocking them over
+images reorders the weight-gradient sums and changes some input-gradient
+bits.
+
+Where a GEMM's output is scattered back onto an image (the transpose-conv
+forward, the conv input gradient), `_col2im` runs that GEMM and its scatter
+for a block of two or more images at a time, about one core's L2 of columns,
+into a C-contiguous NCHW output, bit-identical to one whole-batch GEMM and
+NCHW scatter; no call holds the whole batch's column buffer.
 
 The transpose-conv forward gets tap-major columns straight from its GEMM by
 multiplying by a (in_c, k, k, out_c) copy of its weight matrix.  The conv
@@ -124,23 +136,60 @@ def adam_step(store: ParamStore, learning_rate: float) -> None:
 
 # -- convolution plumbing -------------------------------------------------
 
-def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*k*k, out_h*out_w) patch matrix."""
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    oh, ow = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kernel * kernel, oh * ow)
-    return np.ascontiguousarray(cols)
+def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """(N, C, H, W) -> a strided (N, C, out_h, out_w, k, k) view of its
+    k x k windows; only a padded input is copied."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    return windows[:, :, ::stride, ::stride]
+
+
+def _gather(windows: np.ndarray, rows: bool) -> np.ndarray:
+    """The 2-D operand that a two-operand einsum builds from the C-contiguous
+    (N, C*k*k, L = out_h*out_w) column buffer of `windows`: (N*L, C*k*k) rows,
+    or (C*k*k, N*L) columns, gathered from the windows in one copy.
+
+    einsum reshapes a transposed view of the buffer, which copies it into
+    that order unless N or L is 1; then its operand is a view of the buffer
+    itself, so the buffer's order is gathered and viewed instead."""
+    n, c, oh, ow, k, _ = windows.shape
+    target = (0, 2, 3, 1, 4, 5) if rows else (1, 4, 5, 0, 2, 3)
+    order = target if n > 1 and oh * ow > 1 else (0, 1, 4, 5, 2, 3)
+    gathered = np.ascontiguousarray(windows.transpose(order))
+    # the axes of `gathered`, taken in target order
+    view = gathered.transpose(np.argsort(order)[list(target)])
+    return view.reshape((n * oh * ow, -1) if rows else (-1, n * oh * ow))
+
+
+def _rows_product(windows: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
+    """einsum("of,nfl->nol", w_mat, cols) over the windows' column buffer,
+    as that einsum computes it: a (N*L, O) matmul seen as (N, O, L).  A
+    contraction of length 1 it multiplies out into C-ordered (N, O, L), whose
+    -0 products a GEMM would sum to +0 and whose order later reductions
+    follow."""
+    n, _, oh, ow = windows.shape[:4]
+    rows = _gather(windows, rows=True)
+    if rows.shape[1] == 1:
+        return rows.reshape(n, 1, oh * ow) * w_mat.reshape(1, -1, 1)
+    return (rows @ w_mat.T).reshape(n, oh * ow, -1).transpose(0, 2, 1)
+
+
+def _cols_product(windows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """einsum("nol,nfl->of", z, cols) over the windows' column buffer, as
+    that einsum computes it: a (F, O) matmul seen as (O, F).  (For N*L = 1
+    einsum multiplies instead; the two differ only in the sign of a zero,
+    which adding the result to a weight gradient erases.)"""
+    return (_gather(windows, rows=False) @ z.transpose(0, 2, 1).reshape(-1, z.shape[1])).T
 
 
 def _col2im(columns, x_shape, kernel: int, stride: int, padding: int,
             bias: np.ndarray | None = None) -> np.ndarray:
-    """Scatter-add inverse of _im2col onto a C-contiguous (N, C, H, W) array,
-    a block of images at a time: `columns(a, b)` returns the tap-major
-    (b - a, out_h*out_w, k*k, C) columns of images a:b, in any memory order,
-    and `bias` (C,), when given, is added as each block is written out.
+    """Scatter-add inverse of gathering columns, onto a C-contiguous
+    (N, C, H, W) array a block of images at a time: `columns(a, b)` returns
+    the tap-major (b - a, out_h*out_w, k*k, C) columns of images a:b, in any
+    memory order, and `bias` (C,), when given, is added as each block is
+    written out.
 
     A block's taps are added into a channels-last canvas, one tap at a time;
     when the columns are C-contiguous each add reads whole contiguous channel
@@ -226,27 +275,25 @@ class ConvLayer:
         self.stride = stride
         self.padding = padding
         self.grad_w, self.grad_b = entry.grad_w, entry.grad_b
-        self._cols = None
+        self._windows = None
         self._x_shape = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n = x.shape[0]
         out_c = self.entry.weights.shape[0]
-        oh, ow = _conv_out_hw(x.shape[2], x.shape[3], self.kernel, self.stride, self.padding)
-        cols = _im2col(x, self.kernel, self.stride, self.padding)
+        windows = _windows(x, self.kernel, self.stride, self.padding)
         w_mat = self.entry.weights.reshape(out_c, -1)
-        y = np.einsum("of,nfl->nol", w_mat, cols, optimize=True)
-        y = y.reshape(n, out_c, oh, ow) + self.entry.bias[None, :, None, None]
+        y = (_rows_product(windows, w_mat).reshape((n, out_c) + windows.shape[2:4])
+             + self.entry.bias[None, :, None, None])
         if train:
-            self._cols = cols
+            self._windows = windows
             self._x_shape = x.shape
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         n, out_c = dy.shape[0], dy.shape[1]
         dy_mat = dy.reshape(n, out_c, -1)
-        self.grad_w += np.einsum("nol,nfl->of", dy_mat, self._cols,
-                                 optimize=True).reshape(self.entry.weights.shape)
+        self.grad_w += _cols_product(self._windows, dy_mat).reshape(self.entry.weights.shape)
         self.grad_b += dy.sum(axis=(0, 2, 3))
         w_mat = self.entry.weights.reshape(out_c, -1)
         return _col2im(
@@ -302,13 +349,13 @@ class ConvTransposeLayer:
         n = dy.shape[0]
         in_c = self.entry.weights.shape[0]
         h, w = self._x_hw
-        cols_dy = _im2col(dy, self.kernel, self.stride, self.padding)
-        w_mat = self.entry.weights.reshape(in_c, -1)
-        self.grad_w += np.einsum("nil,nfl->if", self._x_mat, cols_dy,
-                                 optimize=True).reshape(self.entry.weights.shape)
+        # one column buffer at a time: the weight gradient's is freed before
+        # the input gradient's is gathered
+        windows = _windows(dy, self.kernel, self.stride, self.padding)
+        self.grad_w += _cols_product(windows, self._x_mat).reshape(self.entry.weights.shape)
         self.grad_b += dy.sum(axis=(0, 2, 3))
-        dx_mat = np.einsum("if,nfl->nil", w_mat, cols_dy, optimize=True)
-        return dx_mat.reshape(n, in_c, h, w)
+        w_mat = self.entry.weights.reshape(in_c, -1)
+        return _rows_product(windows, w_mat).reshape(n, in_c, h, w)
 
 
 class ActivationOp:
@@ -323,10 +370,13 @@ class ActivationOp:
         elif self.name == "leaky_relu":
             # slope-scaled operand first: a NaN input comes back quieted,
             # exactly as from np.where(x > 0, x, LEAKY_SLOPE * x)
-            y = np.maximum(LEAKY_SLOPE * x, x)
+            y = LEAKY_SLOPE * x
+            np.maximum(y, x, out=y)
             cache = x
         elif self.name == "elu":
-            y = np.where(x > 0, x, ELU_ALPHA * np.expm1(x))
+            y = np.expm1(x)
+            y *= ELU_ALPHA
+            y = np.where(x > 0, x, y)
             cache = (x, y)
         elif self.name == "sigmoid":
             y = _sigmoid(x)

@@ -527,6 +527,14 @@ def params_path(ckpt: str, generation: int) -> str:
     return os.path.join(ckpt, f"params-{generation}.bin")
 
 
+def _remove_stale_params(ckpt: str, generation: int) -> None:
+    """Remove every params file in ckpt but the one of `generation`."""
+    keep = os.path.basename(params_path(ckpt, generation))
+    for name in os.listdir(ckpt):
+        if name.startswith("params") and name != keep:
+            os.remove(os.path.join(ckpt, name))
+
+
 def write_checkpoint(state: EvolutionState, config: RunConfig,
                      out_dir: str) -> str:
     """Persist everything needed to resume bit-exactly, in out_dir/checkpoint.
@@ -558,9 +566,7 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
     with open(state_file + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
     os.replace(state_file + ".tmp", state_file)
-    for name in os.listdir(ckpt):
-        if name.startswith("params") and name != os.path.basename(params_file):
-            os.remove(os.path.join(ckpt, name))
+    _remove_stale_params(ckpt, state.generation)
     return ckpt
 
 
@@ -748,7 +754,9 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     `generations` and `out_dir` overrides, goes to config.txt, and the
     metrics and timings streams lose any lines past the checkpoint.  Every
     generation then appends its metrics and timings lines and rewrites the
-    checkpoint, so a failed run keeps its history.  The final samples follow
+    checkpoint, so a failed run keeps its history; a run continued in place
+    first loses any params file its state.json does not name, which a kill
+    during the last generation's sweep leaves.  The final samples follow
     from the last checkpoint and are written after it: a kill while they are
     written leaves a finished run, whose resume rewrites them.
     """
@@ -758,6 +766,8 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     if out_dir is not None:
         config = dataclasses.replace(config, out_dir=out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
+    if os.path.samefile(os.path.join(checkpoint_dir, os.pardir), config.out_dir):
+        _remove_stale_params(checkpoint_dir, state.generation)
     save_config(config, os.path.join(config.out_dir, "config.txt"))
     for path in (metrics_path(config.out_dir), timings_path(config.out_dir)):
         _truncate_stream(path, state.generation)

@@ -565,9 +565,122 @@ def transpose_conv_mismatches():
             if not np.array_equal(y, expected)]
 
 
+def im2col(x, kernel, stride, padding):
+    """The C-contiguous (N, C*k*k, out_h*out_w) column buffer whose einsums
+    the layers' gathered GEMM operands must match bit for bit."""
+    n, c, h, w = x.shape
+    oh, ow = B._conv_out_hw(h, w, kernel, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols.reshape(n, c * kernel * kernel, oh * ow)
+
+
+GATHER_SETTINGS = [(B.ConvLayer, 3, 2, 1), (B.ConvLayer, 3, 1, 1), (B.ConvLayer, 1, 1, 0),
+                   (B.ConvTransposeLayer, 4, 2, 1)]
+
+
+def gathered_layer_cases():
+    """(layer class, kernel, stride, padding, n, in_c, out_c, hw) for random
+    convs and transpose convs at the genome's settings on every SPATIAL input,
+    batch 1 among them, and for pointwise convs from and to one channel.
+    Batch 1, 1x1 outputs (every setting on 1x1 inputs, the stride-2 conv on
+    1x2 and 2x2 ones) and a one-channel pointwise conv's contraction of
+    length 1 are the axes on which einsum's operand is a view, not a copy, of
+    its column buffer."""
+    rng = np.random.default_rng(18)
+    for hw in SPATIAL:
+        for setting in GATHER_SETTINGS:
+            wide = 300 if hw[0] * hw[1] <= 4 else 60
+            for n in (1, rng.integers(2, 71), rng.integers(2, 71), rng.integers(2, 71)):
+                yield setting + (int(n), int(rng.integers(1, wide)), int(rng.integers(1, wide)), hw)
+    for n in (1, 2, rng.integers(3, 71)):
+        for in_c, out_c in ((1, rng.integers(2, 60)), (rng.integers(2, 60), 1), (1, 1)):
+            yield (B.ConvLayer, 1, 1, 0, int(n), int(in_c), int(out_c), (7, 7))
+
+
+def gathered_layer_outputs(case):
+    """The layer's forward output (conv only), weight, bias and input
+    gradients for one `gathered_layer_cases` case, each paired with the
+    einsum-over-`im2col` formulation the layers used before."""
+    layer_cls, kernel, stride, padding, n, in_c, out_c, hw = case
+    rng = np.random.default_rng(zlib.crc32(repr(case[1:]).encode()))
+    conv = layer_cls is B.ConvLayer
+    w_shape = (out_c, in_c, kernel, kernel) if conv else (in_c, out_c, kernel, kernel)
+    entry, x = random_layer_case(rng, w_shape, (out_c,), (n, in_c) + hw)
+    x[x < -1] = 0  # zeros, as a relu leaves them: some products are -0
+    layer = layer_cls(entry, kernel, stride, padding)
+    y = layer.forward(x, train=True)
+    dy = rng.standard_normal(y.shape).astype(np.float32)
+    dx = layer.backward(dy)
+    grad_w, grad_b = np.zeros_like(entry.grad_w), np.zeros_like(entry.grad_b)
+    grad_b += dy.sum(axis=(0, 2, 3))
+    if conv:
+        cols = im2col(x, kernel, stride, padding)
+        w_mat, dy_mat = entry.weights.reshape(out_c, -1), dy.reshape(n, out_c, -1)
+        expected_y = (np.einsum("of,nfl->nol", w_mat, cols, optimize=True).reshape(y.shape)
+                      + entry.bias[None, :, None, None])
+        grad_w += np.einsum("nol,nfl->of", dy_mat, cols, optimize=True).reshape(w_shape)
+        dcols = np.einsum("of,nol->nfl", w_mat, dy_mat, optimize=True)
+        expected_dx = np.ascontiguousarray(col2im_nchw(dcols, x.shape, kernel, stride, padding))
+        pairs = {"y": (y, expected_y)}
+    else:
+        cols = im2col(dy, kernel, stride, padding)
+        w_mat, x_mat = entry.weights.reshape(in_c, -1), x.reshape(n, in_c, -1)
+        grad_w += np.einsum("nil,nfl->if", x_mat, cols, optimize=True).reshape(w_shape)
+        expected_dx = np.einsum("if,nfl->nil", w_mat, cols, optimize=True).reshape(x.shape)
+        pairs = {}
+    pairs.update(grad_w=(entry.grad_w, grad_w), grad_b=(entry.grad_b, grad_b),
+                 dx=(dx, expected_dx))
+    return pairs
+
+
+def layout(a):
+    """Strides of the axes longer than 1: the memory order later reductions
+    over the array follow."""
+    return [st for st, d in zip(a.strides, a.shape) if d > 1]
+
+
+def gathered_mismatches():
+    """(case, array names) for every `gathered_layer_cases` case whose layer
+    arrays differ from the einsum formulation in bytes or memory order; run
+    in a subprocess by `test_gathered_operands_at_other_blas_thread_counts`."""
+    out = []
+    for case in gathered_layer_cases():
+        pairs = gathered_layer_outputs(case)
+        bad = [name for name, (got, want) in pairs.items()
+               if got.tobytes() != want.tobytes() or layout(got) != layout(want)]
+        if bad:
+            out.append((case[0].__name__,) + case[1:] + (bad,))
+    return out
+
+
+def at_other_blas_thread_count(threads, call):
+    """The lines `test_backend.<call>` prints in a subprocess that sets
+    OPENBLAS_NUM_THREADS before numpy loads, followed by its BLAS
+    description; skips the count this process already runs at."""
+    if openblas_config()[1] == threads:
+        pytest.skip(f"the in-process test runs at {threads} BLAS threads")
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(B.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import test_backend as t; print(t.{call}(), "
+         "'%s at %s threads' % t.openblas_config(), sep='\\n')"],
+        env=env, capture_output=True, text=True, cwd=tests_dir, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.splitlines()
+
+
 class TestConvLayout:
-    """The transpose-conv forward and the conv input gradient match the
-    einsum-plus-NCHW-scatter formulation bit for bit and are C-contiguous."""
+    """The convolution layers match the einsum formulations they replaced bit
+    for bit: the transpose-conv forward and the conv input gradient that of
+    einsum plus an NCHW scatter, in C-contiguous outputs, and the GEMMs over
+    gathered windows that of einsum over an im2col buffer."""
 
     @pytest.mark.parametrize("hw", SPATIAL)
     def test_transpose_conv_forward(self, hw):
@@ -585,19 +698,7 @@ class TestConvLayout:
         OPENBLAS_NUM_THREADS set before numpy loads, skipping the count this
         process runs at.  (Outputs may differ between the two counts; see
         ROADMAP item 1.)"""
-        if openblas_config()[1] == threads:
-            pytest.skip(f"test_transpose_conv_forward runs at {threads} BLAS threads")
-        tests_dir = Path(__file__).resolve().parent
-        src_dir = Path(B.__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import test_backend as t; print(t.transpose_conv_mismatches(), "
-             "'%s at %s threads' % t.openblas_config(), sep='\\n')"],
-            env=env, capture_output=True, text=True, cwd=tests_dir, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        mismatches, blas = proc.stdout.splitlines()
+        mismatches, blas = at_other_blas_thread_count(threads, "transpose_conv_mismatches")
         assert mismatches == "[]", (
             f"(n, in_c, out_c, h, w) {mismatches}: " + BLAS_TILING.format(blas))
 
@@ -623,6 +724,38 @@ class TestConvLayout:
                               dy.reshape(n, out_c, -1), optimize=True)
             assert dx.flags.c_contiguous
             assert np.array_equal(dx, col2im_nchw(dcols, x.shape, kernel, stride, padding))
+
+    def test_gathered_operands_match_einsum(self):
+        """The conv forward, the conv weight gradient and both transpose-conv
+        backward products gather their GEMM operand from strided windows;
+        they give the bytes, and the memory order, of the einsums over a
+        C-contiguous column buffer that they replaced."""
+        assert gathered_mismatches() == [], "%s at %s threads" % openblas_config()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gathered_operands_at_other_blas_thread_counts(self, threads):
+        """BLAS gets the operands einsum gave it, so the bits hold at any
+        thread count: repeat the check at the count this process does not
+        run at."""
+        mismatches, blas = at_other_blas_thread_count(threads, "gathered_mismatches")
+        assert mismatches == "[]", f"{mismatches} at {blas}"
+
+    def test_transpose_conv_backward_holds_one_column_buffer(self):
+        # mnist-train's second transpose conv: the weight gradient's (F, N*L)
+        # columns are freed before the input gradient's (N*L, F) rows exist
+        rng = np.random.default_rng(7)
+        entry, x = random_layer_case(rng, (128, 64, 4, 4), (64,), (64, 128, 14, 14))
+        layer = B.ConvTransposeLayer(entry, 4, 2, 1)
+        dy = layer.forward(x, train=True)
+        columns = 64 * 14 * 14 * 64 * 16 * 4
+        padded = 64 * 64 * 30 * 30 * 4
+        tracemalloc.start()
+        try:
+            dx = layer.backward(dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < columns + padded + 2 * dx.nbytes, (peak, columns)
 
     def test_transpose_conv_forward_holds_no_whole_column_buffer(self):
         # at the eval chunk of mnist-eval's second transpose conv the whole
@@ -661,8 +794,9 @@ def sigmoid_masked(x):
 
 
 class TestActivationBytes:
-    """The branch-free activations give the same bytes as the masked forms
-    they replaced, special values included."""
+    """The activations give the same bytes as the forms they replaced (masked
+    forms, and elu's select over a scaled copy of expm1), special values
+    included."""
 
     @pytest.mark.parametrize("shape", [(64,), (64, 128), (64, 64, 28, 28)])
     def test_same_bytes_as_masked_forms(self, shape):
@@ -674,6 +808,8 @@ class TestActivationBytes:
         with np.errstate(invalid="ignore", over="ignore"):
             pairs = [
                 (B.ActivationOp("leaky_relu").forward(x, train=False), leaky_relu_where(x)),
+                (B.ActivationOp("elu").forward(x, train=False),
+                 np.where(x > 0, x, B.ELU_ALPHA * np.expm1(x))),
                 (B.ActivationOp("sigmoid").forward(x, train=False), sigmoid_masked(x)),
                 (B.SigmoidHead().forward(x, train=False),
                  np.clip(sigmoid_masked(x), B.PROB_CLIP, 1.0 - B.PROB_CLIP)),

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import os
 import shutil
 
@@ -43,10 +42,8 @@ def case_config(tmp_path, case, run, **overrides):
 
 
 def checkpoint_contents(run_dir):
-    """The bytes of state.json and of the params file it names."""
-    ckpt = run_dir / "checkpoint"
-    state = (ckpt / "state.json").read_bytes()
-    return state, (ckpt / f"params-{json.loads(state)['generation']}.bin").read_bytes()
+    """The name and bytes of every file in the run's checkpoint directory."""
+    return {p.name: p.read_bytes() for p in sorted((run_dir / "checkpoint").iterdir())}
 
 
 class Fault:
