@@ -38,7 +38,6 @@ from .gan import NoiseSource, generate_samples
 from .genome import (DISCRIMINATOR, GENERATOR, Gene, Genome, InnovationCounter,
                      new_minimal_genome, validate)
 
-DATA_DIR_ENV = "GANEVO_DATA_DIR"
 DATASETS = ("mnist", "fashion-mnist", "ring2d")
 EMBEDDINGS = {"identity": identity_embedding, "randproj": random_projection_embedding}
 
@@ -371,15 +370,11 @@ class Ring2dSource:
             raise ValueError("not a ring2d data record")
 
 
-def dataset_root(config: RunConfig) -> str:
-    return os.environ.get(DATA_DIR_ENV, config.data_dir)
-
-
 def make_data_source(config: RunConfig, rng):
     if config.dataset == "ring2d":
         return Ring2dSource(config.ring_modes, config.ring_radius, config.ring_sigma, rng,
                             scale=RING_SCALE_MARGIN * config.ring_radius)
-    images = os.path.join(dataset_root(config), config.dataset, "train-images-idx3-ubyte")
+    images = os.path.join(config.data_dir, config.dataset, "train-images-idx3-ubyte")
     return load_idx_dataset(images, rng=rng)
 
 
@@ -750,9 +745,10 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     loop.
 
     The run continues in the directory that holds the checkpoint unless
-    `out_dir` forks it elsewhere.  The config it runs, after the
-    `generations` and `out_dir` overrides, goes to config.txt, and the
-    metrics and timings streams lose any lines past the checkpoint.  Every
+    `out_dir` forks it into another directory, which it first empties as a
+    fresh run does.  The config it runs, after the `generations` and
+    `out_dir` overrides, goes to config.txt, and the metrics and timings
+    streams lose any lines past the checkpoint.  Every
     generation then appends its metrics and timings lines and rewrites the
     checkpoint, so a failed run keeps its history; a run continued in place
     first loses any params file its state.json does not name, which a kill
@@ -768,6 +764,8 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     os.makedirs(config.out_dir, exist_ok=True)
     if os.path.samefile(os.path.join(checkpoint_dir, os.pardir), config.out_dir):
         _remove_stale_params(checkpoint_dir, state.generation)
+    else:
+        prepare_run_dir(config)
     save_config(config, os.path.join(config.out_dir, "config.txt"))
     for path in (metrics_path(config.out_dir), timings_path(config.out_dir)):
         _truncate_stream(path, state.generation)

@@ -240,8 +240,7 @@ class TestRunEvolution:
         assert len(E.read_metrics(config.out_dir)) == 3
 
     @pytest.mark.parametrize("case", ["ring2d", "idx"])
-    def test_fixed_seed_reproducible(self, tmp_path, monkeypatch, case):
-        monkeypatch.delenv(E.DATA_DIR_ENV, raising=False)
+    def test_fixed_seed_reproducible(self, tmp_path, case):
         history_a, _ = E.run_evolution(case_config(tmp_path, case, "a"))
         history_b, _ = E.run_evolution(case_config(tmp_path, case, "b"))
         lines_a = (tmp_path / "a" / "run" / "metrics.txt").read_text()
@@ -251,9 +250,23 @@ class TestRunEvolution:
         assert checkpoint_contents(tmp_path / "a" / "run") == \
             checkpoint_contents(tmp_path / "b" / "run")
 
+    def test_data_comes_from_the_config_alone(self, tmp_path, monkeypatch):
+        """GANEVO_DATA_DIR, which no checkpoint would record, pointing at
+        another IDX file of the same shape changes no byte of a run."""
+        other = tmp_path / "other" / "mnist"
+        other.mkdir(parents=True)
+        images = np.random.default_rng(4).integers(0, 256, size=(7, 8, 8))
+        write_idx_images(str(other / "train-images-idx3-ubyte"), images)
+        E.run_evolution(case_config(tmp_path, "idx", "unset", generations=2))
+        monkeypatch.setenv("GANEVO_DATA_DIR", str(tmp_path / "other"))
+        E.run_evolution(case_config(tmp_path, "idx", "set", generations=2))
+        assert (tmp_path / "unset" / "run" / "metrics.txt").read_bytes() == \
+            (tmp_path / "set" / "run" / "metrics.txt").read_bytes()
+        assert checkpoint_contents(tmp_path / "unset" / "run") == \
+            checkpoint_contents(tmp_path / "set" / "run")
+
     @pytest.mark.parametrize("case", ["ring2d", "idx"])
-    def test_resume_matches_uninterrupted(self, tmp_path, monkeypatch, case):
-        monkeypatch.delenv(E.DATA_DIR_ENV, raising=False)
+    def test_resume_matches_uninterrupted(self, tmp_path, case):
         _, state = E.run_evolution(case_config(tmp_path, case, "full", generations=4))
         E.run_evolution(case_config(tmp_path, case, "half", generations=2))
         E.resume_evolution(str(tmp_path / "half" / "run" / "checkpoint"),
@@ -365,6 +378,19 @@ class TestRunEvolution:
                                         generations=4, out_dir=str(moved))
         assert [r.generation for r in history] == [2, 3]
         assert len(E.read_metrics(str(moved))) == 2
+
+    def test_fork_empties_a_directory_holding_another_run(self, tmp_path):
+        """A fork starts its directory as a fresh run does: its streams and
+        checkpoint hold only the generations it ran."""
+        E.run_evolution(tiny_config(tmp_path / "a", generations=2))
+        target = tmp_path / "c" / "run"
+        E.run_evolution(tiny_config(tmp_path / "c", generations=5))
+        E.resume_evolution(str(tmp_path / "a" / "run" / "checkpoint"),
+                           generations=4, out_dir=str(target))
+        for stream in ("metrics.txt", "timings.txt"):
+            lines = (target / stream).read_text().splitlines()
+            assert [line.split("generation=")[1].split()[0] for line in lines] == ["2", "3"]
+        assert sorted(os.listdir(target / "checkpoint")) == ["params-4.bin", "state.json"]
 
     @pytest.mark.parametrize("case", ["copied", "relative"])
     def test_resume_continues_beside_its_checkpoint(self, tmp_path, monkeypatch, case):

@@ -552,8 +552,7 @@ class TestCheckpointErrors:
             E.read_checkpoint(str(tmp / "malformed"))
 
     @pytest.mark.parametrize("cursor", [-1, 6, 2.0, None])
-    def test_idx_cursor_outside_the_images_rejected(self, tmp_path, monkeypatch, cursor):
-        monkeypatch.delenv(E.DATA_DIR_ENV, raising=False)
+    def test_idx_cursor_outside_the_images_rejected(self, tmp_path, cursor):
         (tmp_path / "data" / "mnist").mkdir(parents=True)
         write_idx_images(str(tmp_path / "data" / "mnist" / "train-images-idx3-ubyte"),
                          np.zeros((5, 4, 4), dtype=np.uint8))
@@ -723,12 +722,12 @@ class TestCli:
     ])
     def test_bad_input_reported_in_one_line(self, tmp_path, capsys, monkeypatch, argv,
                                             message):
-        (tmp_path / "mnist").mkdir()
-        (tmp_path / "mnist" / "train-images-idx3-ubyte").write_bytes(bytes(16))
+        (tmp_path / "data" / "mnist").mkdir(parents=True)  # the default data_dir
+        (tmp_path / "data" / "mnist" / "train-images-idx3-ubyte").write_bytes(bytes(16))
         (tmp_path / "state.json").write_text("{")
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "metrics.txt").write_text("schema=1 generation=0 rmse\n")
-        monkeypatch.setenv(E.DATA_DIR_ENV, str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         assert E.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ganevo: ") and err.count("\n") == 1 and message in err
@@ -741,18 +740,12 @@ class TestCli:
         assert echoed.generations == 1
         assert echoed.dataset == "ring2d"
 
-    def test_dataset_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(E.DATA_DIR_ENV, str(tmp_path / "cache"))
-        cfg = E.load_config(overrides={"dataset": "mnist", "data_dir": "elsewhere"})
-        assert E.dataset_root(cfg) == str(tmp_path / "cache")
-
-    def test_mnist_source_reads_idx_tree(self, tmp_path, monkeypatch, rng):
+    def test_mnist_source_reads_idx_tree(self, tmp_path, rng):
         cache = tmp_path / "cache" / "mnist"
         cache.mkdir(parents=True)
         images = rng.integers(0, 256, size=(5, 28, 28)).astype(np.uint8)
         write_idx_images(str(cache / "train-images-idx3-ubyte"), images)
-        monkeypatch.setenv(E.DATA_DIR_ENV, str(tmp_path / "cache"))
-        cfg = E.load_config(overrides={"dataset": "mnist"})
+        cfg = E.load_config(overrides={"dataset": "mnist", "data_dir": str(tmp_path / "cache")})
         source = E.make_data_source(cfg, np.random.default_rng(0))
         assert source.data_shape == (1, 28, 28)
         assert source.next_batch(3).shape == (3, 1, 28, 28)

@@ -1,5 +1,6 @@
 """Package-structure guards: the modules import each other one way only,
-every import is a module-level statement, and run parameters have one home."""
+every import is a module-level statement, run parameters have one home and
+no module reads the process environment."""
 
 import ast
 import dataclasses
@@ -86,4 +87,18 @@ def test_no_default_restates_a_run_parameter():
                             and param.default is not None):
                         found.append(f"{module.__name__}.{fn.__qualname__}"
                                      f"({param.name}={param.default!r})")
+    assert found == []
+
+
+def test_no_module_reads_the_environment():
+    """The config is a run's only input: no module of the package reads the
+    process environment, which no checkpoint records."""
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for name in MODULES:
+        for node in ast.walk(parse(name)):
+            if (isinstance(node, ast.Attribute) and node.attr in readers
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name in readers for alias in node.names)):
+                found.append(f"{name}.py:{node.lineno}")
     assert found == []
