@@ -2,10 +2,10 @@
 the CLI.
 
 Config files and metrics are line-oriented key=value text so runs diff
-cleanly.  Checkpoints pair a JSON state file with a raw little-endian float32
-blob for every parameter store, and restore bit-exactly.  Generator samples
-dump as binary P5 graymaps for image data or as coordinate text for the 2-d
-toy dataset.
+cleanly.  A checkpoint is one file, a line of JSON state followed by every
+parameter store's rows as raw little-endian float32, and restores
+bit-exactly.  Generator samples dump as binary P5 graymaps for image data or
+as coordinate text for the 2-d toy dataset.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ IDX_IMAGES_MAGIC = 0x00000803
 # real samples fit the generator's tanh output range
 RING_SCALE_MARGIN = 1.1
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
-# The JSON shape of what write_checkpoint writes to state.json: a type, or a
+# The JSON shape of the document that heads state.bin: a type, or a
 # tuple of types, for a value; an object of exactly these keys; or a list
 # whose every item has the one shape given.
 _INDIVIDUAL_SHAPE = {
@@ -61,7 +61,7 @@ _STATE_SHAPE = {
     "version": int, "config": dict, "generation": int, "next_innovation_id": int,
     "prev_best": {role: (int, type(None)) for role in POPULATIONS},
     "speciation": {role: float for role in POPULATIONS},
-    "rng": {name: dict for name in RNG_STREAMS}, "data": dict, "params_length": int,
+    "rng": {name: dict for name in RNG_STREAMS}, "data": dict,
     "populations": {name: [_INDIVIDUAL_SHAPE] for name in POPULATIONS.values()},
 }
 
@@ -455,23 +455,21 @@ def read_metrics(out_dir: str) -> list[MetricsRecord]:
 
 # -- checkpoints -------------------------------------------------------------
 
-def _individual_to_record(ind: Individual, fh) -> dict:
-    """The individual's JSON record; its store's parameter and moment rows go
-    to `fh` as little-endian float32, and `params` lays them out as one
+def _individual_to_record(ind: Individual) -> dict:
+    """The individual's JSON record; `params` lays out its store's rows as one
     [gene id, weight shape, bias shape, Adam step] record per entry."""
     layout = None
     if ind.param_store is not None:
         layout = [[gene_id, list(w), list(b), entry.step]
                   for (gene_id, (w, b)), entry in ind.param_store.entries.items()]
-        fh.write(ind.param_store.data[:3].astype("<f4", copy=False))
     return {"id": ind.id, "genome": dataclasses.asdict(ind.genome),
             "gene_reuse": {str(k): v for k, v in ind.gene_reuse.items()},
             "params": layout}
 
 
-def _store_from_layout(layout: list | None, blob: bytes, offset: int, where: str,
-                       params_file: str) -> tuple[ParamStore | None, int]:
-    """The store a `params` layout describes, its rows read from `blob` at
+def _store_from_layout(layout: list | None, rows: memoryview, offset: int,
+                       where: str) -> tuple[ParamStore | None, int]:
+    """The store a `params` layout describes, its rows read from `rows` at
     `offset`; returns it and the offset where its rows end."""
     if layout is None:
         return None, offset
@@ -484,11 +482,11 @@ def _store_from_layout(layout: list | None, blob: bytes, offset: int, where: str
             raise CheckpointError(f"{where}: malformed layout record {item!r}")
     keys = [ParamStore.key(*item[:3]) for item in layout]
     size = sum(math.prod(w) + math.prod(b) for _, (w, b) in keys)
-    if len(set(keys)) < len(keys) or offset + 12 * size > len(blob):
-        raise CheckpointError(f"{params_file}: {len(blob)} bytes do not hold the layout "
-                              f"at offset {offset} of {where}")
+    if len(set(keys)) < len(keys) or offset + 12 * size > len(rows):
+        raise CheckpointError(f"{where}: {len(rows)} bytes of rows do not hold the "
+                              f"layout at offset {offset}")
     store = ParamStore(keys)
-    store.data[:3] = np.frombuffer(blob, "<f4", 3 * size, offset).reshape(3, size)
+    store.data[:3] = np.frombuffer(rows, "<f4", 3 * size, offset).reshape(3, size)
     for entry, item in zip(store.entries.values(), layout):
         entry.step = item[3]
     return store, offset + 12 * size
@@ -518,33 +516,17 @@ def checkpoint_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "checkpoint")
 
 
-def params_path(ckpt: str, generation: int) -> str:
-    return os.path.join(ckpt, f"params-{generation}.bin")
-
-
-def _remove_stale_params(ckpt: str, generation: int) -> None:
-    """Remove every params file in ckpt but the one of `generation`."""
-    keep = os.path.basename(params_path(ckpt, generation))
-    for name in os.listdir(ckpt):
-        if name.startswith("params") and name != keep:
-            os.remove(os.path.join(ckpt, name))
-
-
 def write_checkpoint(state: EvolutionState, config: RunConfig,
                      out_dir: str) -> str:
-    """Persist everything needed to resume bit-exactly, in out_dir/checkpoint.
-    The run directory itself is not recorded: read_checkpoint takes it to be
-    the one that holds the checkpoint.  The params file is named by
-    generation and state.json, which records that generation, is replaced
-    after it, so a kill at any step leaves a state.json whose params file is
-    whole."""
+    """Persist everything needed to resume bit-exactly in one file,
+    out_dir/checkpoint/state.bin: the JSON document on one line, then rows
+    0-2 of every individual's store, in population order, as little-endian
+    float32.  The file is written beside the old one and moved over it, so a
+    kill at any step leaves a whole checkpoint.  The run directory itself is
+    not recorded: read_checkpoint takes it to be the one that holds the
+    checkpoint."""
     ckpt = checkpoint_dir(out_dir)
     os.makedirs(ckpt, exist_ok=True)
-    params_file = params_path(ckpt, state.generation)
-    with open(params_file, "wb") as fh:
-        populations = {name: [_individual_to_record(i, fh) for i in getattr(state, name)]
-                       for name in POPULATIONS.values()}
-        params_length = fh.tell()
     doc = {
         "version": CHECKPOINT_VERSION,
         "config": {k: v for k, v in dataclasses.asdict(config).items() if k != "out_dir"},
@@ -554,14 +536,17 @@ def write_checkpoint(state: EvolutionState, config: RunConfig,
         "speciation": state.threshold,
         "rng": {name: stream.bit_generator.state for name, stream in state.rng.items()},
         "data": state.data_source.state(),
-        "params_length": params_length,
-        "populations": populations,
+        "populations": {name: [_individual_to_record(ind) for ind in getattr(state, name)]
+                        for name in POPULATIONS.values()},
     }
-    state_file = os.path.join(ckpt, "state.json")
-    with open(state_file + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+    stores = [ind.param_store for name in POPULATIONS.values()
+              for ind in getattr(state, name) if ind.param_store is not None]
+    state_file = os.path.join(ckpt, "state.bin")
+    with open(state_file + ".tmp", "wb") as fh:
+        fh.write(json.dumps(doc, separators=(",", ":")).encode() + b"\n")
+        for store in stores:
+            fh.write(store.data[:3].astype("<f4", copy=False))
     os.replace(state_file + ".tmp", state_file)
-    _remove_stale_params(ckpt, state.generation)
     return ckpt
 
 
@@ -570,16 +555,20 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     saved config, with every saved value restored into it.  The config's
     out_dir is the directory that holds `ckpt`.
 
-    Raises CheckpointError, naming the file, on a state.json that is not a
-    JSON object, is of another version or breaks the format anywhere, or a
-    params file that does not match its layouts; a bad config record raises
+    Raises CheckpointError, naming state.bin, on a first line that is not a
+    JSON object, is of another version or breaks the format anywhere, or on
+    rows that do not match the layouts; a bad config record raises
     ConfigError."""
-    state_file = os.path.join(ckpt, "state.json")
+    state_file = os.path.join(ckpt, "state.bin")
     with open(state_file, "rb") as fh:
-        try:
-            doc = json.loads(fh.read())
-        except (ValueError, RecursionError) as exc:  # nested too deep for the parser
-            raise CheckpointError(f"{state_file}: not a JSON document ({exc})") from None
+        raw = fh.read()
+    end = raw.find(b"\n")
+    if end < 0:
+        raise CheckpointError(f"{state_file}: not a JSON document (no line break ends it)")
+    try:
+        doc = json.loads(raw[:end])
+    except (ValueError, RecursionError) as exc:  # nested too deep for the parser
+        raise CheckpointError(f"{state_file}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"{state_file}: a JSON {type(doc).__name__}, not an object")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -591,11 +580,7 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
                               "a run lives in the directory that holds its checkpoint")
     config = config_from_dict(dict(doc["config"],
                                    out_dir=os.path.normpath(os.path.join(ckpt, os.pardir))))
-    params_file = params_path(ckpt, doc["generation"])
-    if not os.path.exists(params_file):
-        raise CheckpointError(f"{params_file}: params file missing")
-    with open(params_file, "rb") as fh:
-        blob = fh.read()
+    rows = memoryview(raw)[end + 1:]
 
     state = init_state(config)
     offset = 0
@@ -613,7 +598,7 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
                 problems.append(f"gene_reuse {reuse!r}")
             if problems:
                 raise CheckpointError(f"{where}: {'; '.join(problems)}")
-            store, offset = _store_from_layout(record["params"], blob, offset, where, params_file)
+            store, offset = _store_from_layout(record["params"], rows, offset, where)
             individuals.append(Individual(
                 id=record["id"], genome=genome, param_store=store,
                 gene_reuse={int(key): count for key, count in reuse.items()}))
@@ -629,9 +614,9 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     ids = [ind.id for ind in state.generators + state.discriminators]
     if len(set(ids)) < len(ids):
         raise CheckpointError(f"{state_file}: individual ids {ids} repeat")
-    if not offset == len(blob) == doc["params_length"]:
-        raise CheckpointError(f"{params_file}: {len(blob)} bytes, state.json records "
-                              f"{doc['params_length']}, its layouts {offset}")
+    if offset != len(rows):
+        raise CheckpointError(f"{state_file}: {len(rows)} bytes of rows, the layouts "
+                              f"hold {offset}")
     state.generation = doc["generation"]
     state.innovations.next = doc["next_innovation_id"]
     state.prev_best = doc["prev_best"]
@@ -683,13 +668,14 @@ def dump_samples(network: NetworkInstance, n: int, out_dir: str, noise: NoiseSou
 
 
 def prepare_run_dir(config: RunConfig) -> None:
+    """Empty the metrics streams and remove the checkpoint, samples and plot
+    files of any run the directory held before."""
     os.makedirs(config.out_dir, exist_ok=True)
-    # a fresh run starts from empty metrics streams and an empty checkpoint
-    # directory, so it never rewrites the params file a state.json names
     open(metrics_path(config.out_dir), "w").close()
     open(timings_path(config.out_dir), "w").close()
-    if os.path.isdir(checkpoint_dir(config.out_dir)):
-        shutil.rmtree(checkpoint_dir(config.out_dir))
+    for sub in ("checkpoint", "samples", "plot"):
+        if os.path.isdir(os.path.join(config.out_dir, sub)):
+            shutil.rmtree(os.path.join(config.out_dir, sub))
 
 
 def dump_final_samples(state: EvolutionState, config: RunConfig,
@@ -749,10 +735,9 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     fresh run does.  The config it runs, after the `generations` and
     `out_dir` overrides, goes to config.txt, and the metrics and timings
     streams lose any lines past the checkpoint.  Every
-    generation then appends its metrics and timings lines and rewrites the
-    checkpoint, so a failed run keeps its history; a run continued in place
-    first loses any params file its state.json does not name, which a kill
-    during the last generation's sweep leaves.  The final samples follow
+    generation then appends its metrics and timings lines and replaces the
+    checkpoint file, so a failed run keeps its history and a kill at any
+    instant leaves a checkpoint that resumes.  The final samples follow
     from the last checkpoint and are written after it: a kill while they are
     written leaves a finished run, whose resume rewrites them.
     """
@@ -762,9 +747,7 @@ def resume_evolution(checkpoint_dir: str, generations: int | None = None,
     if out_dir is not None:
         config = dataclasses.replace(config, out_dir=out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
-    if os.path.samefile(os.path.join(checkpoint_dir, os.pardir), config.out_dir):
-        _remove_stale_params(checkpoint_dir, state.generation)
-    else:
+    if not os.path.samefile(os.path.join(checkpoint_dir, os.pardir), config.out_dir):
         prepare_run_dir(config)
     save_config(config, os.path.join(config.out_dir, "config.txt"))
     for path in (metrics_path(config.out_dir), timings_path(config.out_dir)):

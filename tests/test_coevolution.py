@@ -92,9 +92,9 @@ class TornFile:
 
 
 def inject_faults(monkeypatch, fault):
-    """Route the experiment module's file writes, replaces and removes
-    through `fault`: opening a file for writing, its first write, each
-    os.replace and each os.remove is one step."""
+    """Route the experiment module's file writes and replaces through
+    `fault`: opening a file for writing, its first write and each os.replace
+    is one step."""
 
     def faulty_open(path, mode="r", *args, **kwargs):
         fh = open(path, mode, *args, **kwargs)
@@ -114,10 +114,6 @@ def inject_faults(monkeypatch, fault):
         def replace(self, src, dst):
             fault.step(f"replace {dst}")
             os.replace(src, dst)
-
-        def remove(self, path):
-            fault.step(f"remove {path}")
-            os.remove(path)
 
     monkeypatch.setattr(E, "open", faulty_open, raising=False)
     monkeypatch.setattr(E, "os", FaultyOs())
@@ -230,7 +226,7 @@ class TestRunEvolution:
         config = tiny_config(tmp_path, generations=0)
         history, state = E.run_evolution(config)
         assert history == []
-        assert (tmp_path / "run" / "checkpoint" / "state.json").exists()
+        assert (tmp_path / "run" / "checkpoint" / "state.bin").exists()
         assert (tmp_path / "run" / "metrics.txt").read_text() == ""
 
     def test_history_length_matches_generations(self, tmp_path):
@@ -323,11 +319,11 @@ class TestRunEvolution:
             E.resume_evolution(str(run / "checkpoint"), generations=4)
             assert (run / "metrics.txt").read_text() == full, f"fault at step {n}"
             assert checkpoint_contents(run) == checkpoint_contents(tmp_path / "full" / "run")
-        # the open and torn write of config.txt; per checkpoint write: open and
-        # torn write of the params file and of state.json, the replace, the
-        # removal of the previous params file; after the last one, the open
-        # and write of the final samples
-        assert n - 1 == 2 * 6 + 4
+        # the open and torn write of config.txt; per checkpoint write: the
+        # open and torn write of state.bin.tmp and its replace over
+        # state.bin; after the last one, the open and write of the final
+        # samples
+        assert n - 1 == 2 * 3 + 4
 
     def test_kill_in_final_generation_keeps_samples_whole(self, tmp_path, monkeypatch):
         def files(directory):
@@ -352,9 +348,9 @@ class TestRunEvolution:
                 break  # the run finished: every write step of its last generation was hit
             E.resume_evolution(str(run / "checkpoint"), generations=3)
             assert files(run / "samples") == full, f"fault at step {n}"
-        # config.txt's open and torn write, the six checkpoint steps, then the
-        # samples file's open and torn write
-        assert n - 1 == 2 + 2 + 6
+        # config.txt's open and torn write, the three checkpoint steps (open,
+        # torn write, replace), then the samples file's open and torn write
+        assert n - 1 == 2 + 2 + 3
 
     def test_resume_of_finished_run_rewrites_samples(self, tmp_path):
         E.run_evolution(tiny_config(tmp_path, generations=2))
@@ -390,7 +386,24 @@ class TestRunEvolution:
         for stream in ("metrics.txt", "timings.txt"):
             lines = (target / stream).read_text().splitlines()
             assert [line.split("generation=")[1].split()[0] for line in lines] == ["2", "3"]
-        assert sorted(os.listdir(target / "checkpoint")) == ["params-4.bin", "state.json"]
+        assert os.listdir(target / "checkpoint") == ["state.bin"]
+
+    @pytest.mark.parametrize("start", ["fresh", "fork"])
+    def test_new_run_clears_the_old_samples_and_plot(self, tmp_path, start):
+        """A fresh run or a fork into a directory that held another run
+        keeps none of that run's samples or plot files."""
+        run = tmp_path / "a" / "run"
+        E.run_evolution(tiny_config(tmp_path / "a", generations=2))
+        E.export_plot_data(str(run))
+        if start == "fresh":
+            E.run_evolution(case_config(tmp_path, "idx", "a", generations=1))
+        else:
+            E.run_evolution(case_config(tmp_path, "idx", "b", generations=1))
+            E.resume_evolution(str(tmp_path / "b" / "run" / "checkpoint"),
+                               generations=2, out_dir=str(run))
+        assert sorted(os.listdir(run / "samples")) == [f"sample_{i:03d}.pgm" for i in range(16)]
+        assert not (run / "plot").exists()
+        assert os.listdir(run / "checkpoint") == ["state.bin"]
 
     @pytest.mark.parametrize("case", ["copied", "relative"])
     def test_resume_continues_beside_its_checkpoint(self, tmp_path, monkeypatch, case):
@@ -417,7 +430,7 @@ class TestRunEvolution:
         history, _ = E.resume_evolution(ckpt, generations=3)
         assert [r.generation for r in history] == [2]
         assert len(E.read_metrics(str(run))) == 3
-        assert sorted(os.listdir(run / "checkpoint")) == ["params-3.bin", "state.json"]
+        assert os.listdir(run / "checkpoint") == ["state.bin"]
         if case == "copied":
             assert files(tmp_path / "a") == original
         else:

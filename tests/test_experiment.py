@@ -378,7 +378,7 @@ class TestParamStoreSerialization:
         state, config = trained_state(tmp_path / "run", rng)
         state.generation = 3
         ckpt = E.write_checkpoint(state, config, config.out_dir)
-        assert sorted(os.listdir(ckpt)) == ["params-3.bin", "state.json"]
+        assert os.listdir(ckpt) == ["state.bin"]
         loaded, _ = E.read_checkpoint(ckpt)
         before = state.generators + state.discriminators
         after = loaded.generators + loaded.discriminators
@@ -397,7 +397,7 @@ class TestParamStoreSerialization:
 
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
-    """(state.json document, params bytes, scratch directory) of a checkpoint."""
+    """(JSON document, row bytes, scratch directory) of a checkpoint."""
     tmp = tmp_path_factory.mktemp("checkpoint")
     state, config = trained_state(tmp / "run", np.random.default_rng(8))
     return load_checkpoint(E.write_checkpoint(state, config, config.out_dir)) + (tmp,)
@@ -405,7 +405,7 @@ def saved_checkpoint(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def run_checkpoint(tmp_path_factory):
-    """(state.json document, params bytes, scratch directory) of the
+    """(JSON document, row bytes, scratch directory) of the
     checkpoint a tiny ring2d run writes after 2 generations, so gene reuse
     and the previous bests are set."""
     tmp = tmp_path_factory.mktemp("run_checkpoint")
@@ -418,19 +418,22 @@ def run_checkpoint(tmp_path_factory):
 
 
 def load_checkpoint(ckpt):
-    """A checkpoint's state.json document and params file bytes."""
-    with open(os.path.join(ckpt, "state.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    with open(E.params_path(ckpt, doc["generation"]), "rb") as fh:
-        return doc, fh.read()
+    """A checkpoint's JSON document and the row bytes after it in state.bin."""
+    with open(os.path.join(ckpt, "state.bin"), "rb") as fh:
+        head, rows = fh.read().split(b"\n", 1)
+    return json.loads(head), rows
+
+
+def write_state(directory, head, blob):
+    """Write directory/state.bin: `head` (a document to dump, or the text of
+    the first line as it is), a line break, then `blob`."""
+    os.makedirs(directory, exist_ok=True)
+    text = head if isinstance(head, str) else json.dumps(head)
+    (directory / "state.bin").write_bytes(text.encode() + b"\n" + blob)
 
 
 def read_written(directory, doc, blob):
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "state.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    with open(E.params_path(str(directory), doc["generation"]), "wb") as fh:
-        fh.write(blob)
+    write_state(directory, doc, blob)
     return E.read_checkpoint(str(directory))
 
 
@@ -466,59 +469,55 @@ class TestCheckpointErrors:
         state, _ = read_written(tmp / "intact", doc, blob)
         assert all(i.param_store is not None for i in state.generators)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_older_version_rejected(self, saved_checkpoint, version):
         doc, blob, tmp = saved_checkpoint
         with pytest.raises(E.CheckpointError,
-                           match=f"state.json: unsupported checkpoint version {version}"):
+                           match=f"state.bin: unsupported checkpoint version {version}"):
             read_written(tmp / f"v{version}", dict(doc, version=version), blob)
 
     def test_missing_top_level_key_named(self, saved_checkpoint):
         doc, blob, tmp = saved_checkpoint
-        read_written(tmp / "partial", doc, blob)
         for key in doc:
             partial = {k: v for k, v in doc.items() if k != key}
-            (tmp / "partial" / "state.json").write_text(json.dumps(partial))
-            with pytest.raises(E.CheckpointError, match="state.json"):
+            write_state(tmp / "partial", partial, blob)
+            with pytest.raises(E.CheckpointError, match="state.bin"):
                 E.read_checkpoint(str(tmp / "partial"))
 
     def test_float_version_rejected(self, saved_checkpoint):
         # 3.0 == CHECKPOINT_VERSION in Python, but it is not what was written
         doc, blob, tmp = saved_checkpoint
-        with pytest.raises(E.CheckpointError, match="state.json: 'version' is a JSON float"):
+        with pytest.raises(E.CheckpointError, match="state.bin: 'version' is a JSON float"):
             read_written(tmp / "v3f", dict(doc, version=float(E.CHECKPOINT_VERSION)), blob)
 
     def test_not_an_object_rejected(self, saved_checkpoint):
         doc, blob, tmp = saved_checkpoint
-        read_written(tmp / "array", doc, blob)
-        (tmp / "array" / "state.json").write_text("[]")
-        with pytest.raises(E.CheckpointError, match="state.json: a JSON list, not an object"):
+        write_state(tmp / "array", "[]", blob)
+        with pytest.raises(E.CheckpointError, match="state.bin: a JSON list, not an object"):
             E.read_checkpoint(str(tmp / "array"))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_top_level_value_of_another_type_named(self, saved_checkpoint, data):
         doc, blob, tmp = saved_checkpoint
-        read_written(tmp / "retyped", doc, blob)
         key = data.draw(st.sampled_from(sorted(doc)))
         value = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(doc[key])))
-        (tmp / "retyped" / "state.json").write_text(json.dumps(dict(doc, **{key: value})))
-        with pytest.raises(E.CheckpointError, match="state.json"):
+        write_state(tmp / "retyped", dict(doc, **{key: value}), blob)
+        with pytest.raises(E.CheckpointError, match="state.bin"):
             E.read_checkpoint(str(tmp / "retyped"))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_value_at_any_depth_of_another_type_named(self, run_checkpoint, data):
         doc, blob, tmp = run_checkpoint
-        read_written(tmp / "nested", doc, blob)
         path = data.draw(st.sampled_from(list(json_paths(doc))))
         old = functools.reduce(operator.getitem, path, doc)
         value = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
-        (tmp / "nested" / "state.json").write_text(json.dumps(replaced(doc, path, value)))
+        write_state(tmp / "nested", replaced(doc, path, value), blob)
         try:
             E.read_checkpoint(str(tmp / "nested"))
         except E.CheckpointError as exc:
-            assert "state.json" in str(exc)
+            assert "state.bin" in str(exc)
         except E.ConfigError:
             assert path[0] == "config"
 
@@ -546,9 +545,8 @@ class TestCheckpointErrors:
     ]])
     def test_malformed_nested_value_named(self, run_checkpoint, path, value):
         doc, blob, tmp = run_checkpoint
-        read_written(tmp / "malformed", doc, blob)
-        (tmp / "malformed" / "state.json").write_text(json.dumps(replaced(doc, path, value)))
-        with pytest.raises(E.CheckpointError, match="state.json"):
+        write_state(tmp / "malformed", replaced(doc, path, value), blob)
+        with pytest.raises(E.CheckpointError, match="state.bin"):
             E.read_checkpoint(str(tmp / "malformed"))
 
     @pytest.mark.parametrize("cursor", [-1, 6, 2.0, None])
@@ -563,43 +561,27 @@ class TestCheckpointErrors:
                                                        config.out_dir))
         for ok in (0, 5):  # a cursor at the end starts the next epoch
             read_written(tmp_path / "ok", replaced(doc, ("data", "cursor"), ok), blob)
-        with pytest.raises(E.CheckpointError, match="state.json: .*idx data record"):
+        with pytest.raises(E.CheckpointError, match="state.bin: .*idx data record"):
             read_written(tmp_path / "bad", replaced(doc, ("data", "cursor"), cursor), blob)
 
     def test_deeply_nested_state_file_rejected(self, saved_checkpoint):
         doc, blob, tmp = saved_checkpoint
-        read_written(tmp / "deep", doc, blob)
-        (tmp / "deep" / "state.json").write_text("[" * 100_000)
-        with pytest.raises(E.CheckpointError, match="state.json: not a JSON document"):
+        write_state(tmp / "deep", "[" * 100_000, blob)
+        with pytest.raises(E.CheckpointError, match="state.bin: not a JSON document"):
             E.read_checkpoint(str(tmp / "deep"))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_truncated_state_file_rejected(self, saved_checkpoint, data):
+        """A state.bin cut at any byte, in its JSON line or in its rows."""
         doc, blob, tmp = saved_checkpoint
-        read_written(tmp / "torn", doc, blob)
-        text = (tmp / "torn" / "state.json").read_bytes()
-        (tmp / "torn" / "state.json").write_bytes(text[:data.draw(st.integers(0, len(text) - 1))])
-        with pytest.raises(E.CheckpointError, match="state.json: not a JSON document"):
+        write_state(tmp / "torn", doc, blob)
+        raw = (tmp / "torn" / "state.bin").read_bytes()
+        head = len(raw) - len(blob)
+        cut = data.draw(st.one_of(st.integers(0, head), st.integers(head, len(raw) - 1)))
+        (tmp / "torn" / "state.bin").write_bytes(raw[:cut])
+        with pytest.raises(E.CheckpointError, match="state.bin"):
             E.read_checkpoint(str(tmp / "torn"))
-
-    def test_missing_params_file_named(self, saved_checkpoint):
-        doc, blob, tmp = saved_checkpoint
-        read_written(tmp / "missing", doc, blob)
-        os.remove(E.params_path(str(tmp / "missing"), doc["generation"]))
-        with pytest.raises(E.CheckpointError, match=r"params-0\.bin: params file missing"):
-            E.read_checkpoint(str(tmp / "missing"))
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_truncated_params_file_rejected(self, saved_checkpoint, data):
-        doc, blob, tmp = saved_checkpoint
-        cut = data.draw(st.integers(0, len(blob) - 1))
-        doc = copy.deepcopy(doc)
-        if data.draw(st.booleans()):
-            doc["params_length"] = cut  # a state.json that agrees with the cut
-        with pytest.raises(E.CheckpointError, match="params-0.bin"):
-            read_written(tmp / "truncated", doc, blob[:cut])
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -711,9 +693,9 @@ class TestCli:
                      "byte offset 0", id="idx"),
         pytest.param(["run", "--config", "{tmp}/missing.cfg"], "missing.cfg", id="no-config"),
         pytest.param(["run", "--config", "{tmp}"], "Is a directory", id="config-dir"),
-        pytest.param(["resume", "--checkpoint", "{tmp}"], "state.json: not a JSON document",
+        pytest.param(["resume", "--checkpoint", "{tmp}"], "state.bin: not a JSON document",
                      id="checkpoint"),
-        pytest.param(["resume", "--checkpoint", "{tmp}/state.json"], "Not a directory",
+        pytest.param(["resume", "--checkpoint", "{tmp}/state.bin"], "Not a directory",
                      id="checkpoint-file"),
         pytest.param(["metrics-export", "--run-dir", "{tmp}/missing"], "metrics.txt",
                      id="no-run-dir"),
@@ -724,13 +706,36 @@ class TestCli:
                                             message):
         (tmp_path / "data" / "mnist").mkdir(parents=True)  # the default data_dir
         (tmp_path / "data" / "mnist" / "train-images-idx3-ubyte").write_bytes(bytes(16))
-        (tmp_path / "state.json").write_text("{")
+        write_state(tmp_path, "{", b"")
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "metrics.txt").write_text("schema=1 generation=0 rmse\n")
         monkeypatch.chdir(tmp_path)
         assert E.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ganevo: ") and err.count("\n") == 1 and message in err
+
+    def test_older_checkpoint_layout_reported(self, tmp_path, capsys):
+        """A checkpoint of version 6, a state.json beside a params file, is
+        reported in one line naming the missing state.bin, and the run
+        directory is left as it was."""
+        def files(directory):
+            return {p: p.read_bytes() if p.is_file() else None for p in directory.rglob("*")}
+
+        run = tmp_path / "old_run"
+        assert E.main(["run", "--config", self._cfg_file(tmp_path), "--out-dir", str(run)]) == 0
+        ckpt = run / "checkpoint"
+        doc, rows = load_checkpoint(str(ckpt))
+        (ckpt / "state.bin").unlink()
+        (ckpt / "state.json").write_text(
+            json.dumps(dict(doc, version=6, params_length=len(rows)), indent=1))
+        (ckpt / f"params-{doc['generation']}.bin").write_bytes(rows)
+        before = files(run)
+        capsys.readouterr()
+        assert E.main(["resume", "--checkpoint", str(ckpt), "--generations", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ganevo: ") and err.count("\n") == 1
+        assert str(ckpt / "state.bin") in err
+        assert files(run) == before
 
     def test_run_writes_config_echo(self, tmp_path):
         out_dir = str(tmp_path / "echo_run")
