@@ -5,36 +5,37 @@ forward and backward passes (convolutions as GEMMs over image columns, so
 gradients are exact and checkable against finite differences), Adam updates,
 and parameter transfer between generations.
 
-Convolutions are one GEMM each.  The GEMMs that read k x k image windows
-(the conv forward and weight gradient, both transpose-conv backward
-products) gather their operand from a strided view of the windows straight
-into the order their matmul reads, in one copy.  Byte for byte and stride
-for stride it is the operand numpy's einsum built by copying a C-contiguous
-(N, C*k*k, L) column buffer into contraction order, so the products keep
-einsum's bits at any BLAS thread count; where N or L is 1 einsum's operand
-was a view of that buffer, whose strides pick the BLAS or numpy loop, and
-`_gather` keeps the buffer's order.  The conv caches its windows, not its
-columns, and the transpose-conv backward frees one column buffer before it
-gathers the next.  These GEMMs run over the whole batch: blocking them over
-images reorders the weight-gradient sums and changes some input-gradient
-bits.
+Three routines serve both convolution layers, since a transpose conv is a
+conv run backwards: `_conv` (the conv forward and the transpose-conv input
+gradient), `_conv_weight_grad` (both weight gradients) and `_conv_transpose`
+(the transpose-conv forward and the conv input gradient).  Each is one GEMM.
 
-Where a GEMM's output is scattered back onto an image (the transpose-conv
-forward, the conv input gradient), `_col2im` runs that GEMM and its scatter
-for a block of two or more images at a time, about one core's L2 of columns,
-into a C-contiguous NCHW output, bit-identical to one whole-batch GEMM and
-NCHW scatter; no call holds the whole batch's column buffer.
+`_conv` and `_conv_weight_grad` read k x k image windows: they gather their
+operand from a strided view of the windows straight into the order their
+matmul reads, in one copy.  Byte for byte and stride for stride it is the
+operand numpy's einsum built by copying a C-contiguous (N, C*k*k, L) column
+buffer into contraction order, so the products keep einsum's bits at any
+BLAS thread count; where N or L is 1 einsum's operand was a view of that
+buffer, whose strides pick the BLAS or numpy loop, and `_gather` keeps the
+buffer's order.  The conv caches its windows, not its columns, and the
+transpose-conv backward frees one column buffer before it gathers the next.
+These GEMMs run over the whole batch: blocking them over images reorders the
+weight-gradient sums and changes some input-gradient bits.
 
-The transpose-conv forward gets tap-major columns straight from its GEMM by
-multiplying by a (in_c, k, k, out_c) copy of its weight matrix.  The conv
-input gradient passes its (C, k, k)-ordered GEMM output as a transposed view
-instead: its GEMM has N = 9*C columns, and OpenBLAS sums the N-tail
-micro-tiles differently, so permuting its weights would change bits (the
-transpose conv's N = 16*out_c has no tail).  So does a transpose conv whose
-product has one row (batch 1 on a 1x1 input): that is a GEMV, which OpenBLAS
-splits between threads by column position.  Activations avoid boolean-mask
-indexing, and Adam applies one bias-corrected update per run of entries that
-share a step count.
+`_conv_transpose` runs its GEMM and the scatter of its columns back onto an
+image for a block of two or more images at a time, about one core's L2 of
+columns, into a C-contiguous NCHW output, bit-identical to one whole-batch
+GEMM and NCHW scatter; no call holds the whole batch's column buffer.  With
+`permute` it gets tap-major columns straight from its GEMM by multiplying by
+a (I, k, k, O) copy of its weights; without, it views its (O, k, k)-ordered
+columns tap-major.  The transpose-conv forward permutes.  The conv input
+gradient does not: its GEMM has N = 9*C columns, and OpenBLAS sums the
+N-tail micro-tiles differently, so permuting its weights would change bits
+(the transpose conv's N = 16*out_c has no tail).  Nor does a transpose conv
+whose product has one row (batch 1 on a 1x1 input): that is a GEMV, which
+OpenBLAS splits between threads by column position.  Activations avoid
+boolean-mask indexing, and Adam applies one bias-corrected update per run of
+entries that share a step count.
 
 Trained state lives in a ParamStore, one array per network, keyed by
 (innovation id, shape signature).  Building a network against a parent store
@@ -60,8 +61,8 @@ ELU_ALPHA = 1.0
 # masked where the clip binds, consistent with the clamped-log losses.
 PROB_CLIP = 1e-7
 
-# About one core's L2: `_col2im` scatters this many bytes of float32 columns
-# per block of images.
+# About one core's L2: `_conv_transpose` multiplies and scatters this many
+# bytes of float32 columns per block of images.
 COL2IM_BLOCK_BYTES = 2 << 20
 
 ADAM_BETA1 = 0.9
@@ -162,59 +163,73 @@ def _gather(windows: np.ndarray, rows: bool) -> np.ndarray:
     return view.reshape((n * oh * ow, -1) if rows else (-1, n * oh * ow))
 
 
-def _rows_product(windows: np.ndarray, w_mat: np.ndarray) -> np.ndarray:
-    """einsum("of,nfl->nol", w_mat, cols) over the windows' column buffer,
-    as that einsum computes it: a (N*L, O) matmul seen as (N, O, L).  A
-    contraction of length 1 it multiplies out into C-ordered (N, O, L), whose
-    -0 products a GEMM would sum to +0 and whose order later reductions
-    follow."""
+def _conv(windows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The convolution of the windows' images by (O, C, k, k) weights, as
+    einsum("of,nfl->nol", weights, cols) over their column buffer computes
+    it: a (N*L, O) matmul seen as (N, O, out_h, out_w).  A contraction of
+    length 1 it multiplies out into C-ordered output, whose -0 products a
+    GEMM would sum to +0 and whose order later reductions follow."""
     n, _, oh, ow = windows.shape[:4]
+    o = weights.shape[0]
+    w_mat = weights.reshape(o, -1)
     rows = _gather(windows, rows=True)
     if rows.shape[1] == 1:
-        return rows.reshape(n, 1, oh * ow) * w_mat.reshape(1, -1, 1)
-    return (rows @ w_mat.T).reshape(n, oh * ow, -1).transpose(0, 2, 1)
+        return (rows.reshape(n, 1, oh * ow) * w_mat.reshape(1, o, 1)).reshape(n, o, oh, ow)
+    return (rows @ w_mat.T).reshape(n, oh * ow, o).transpose(0, 2, 1).reshape(n, o, oh, ow)
 
 
-def _cols_product(windows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """einsum("nol,nfl->of", z, cols) over the windows' column buffer, as
-    that einsum computes it: a (F, O) matmul seen as (O, F).  (For N*L = 1
-    einsum multiplies instead; the two differ only in the sign of a zero,
-    which adding the result to a weight gradient erases.)"""
-    return (_gather(windows, rows=False) @ z.transpose(0, 2, 1).reshape(-1, z.shape[1])).T
+def _conv_weight_grad(windows: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The (O, C, k, k) gradient of `_conv`'s weights for its (N, O, out_h,
+    out_w) output gradient `dy`, as einsum("nol,nfl->of", dy, cols) over the
+    windows' column buffer computes it: a (F, O) matmul seen as (O, F).  (For
+    N*L = 1 einsum multiplies instead; the two differ only in the sign of a
+    zero, which adding the result to a weight gradient erases.)"""
+    n, c, _, _, k, _ = windows.shape
+    o = dy.shape[1]
+    dy_rows = dy.reshape(n, o, -1).transpose(0, 2, 1).reshape(-1, o)
+    return (_gather(windows, rows=False) @ dy_rows).T.reshape(o, c, k, k)
 
 
-def _col2im(columns, x_shape, kernel: int, stride: int, padding: int,
-            bias: np.ndarray | None = None) -> np.ndarray:
-    """Scatter-add inverse of gathering columns, onto a C-contiguous
-    (N, C, H, W) array a block of images at a time: `columns(a, b)` returns
-    the tap-major (b - a, out_h*out_w, k*k, C) columns of images a:b, in any
-    memory order, and `bias` (C,), when given, is added as each block is
-    written out.
+def _conv_transpose(x: np.ndarray, weights: np.ndarray, out_shape, kernel: int, stride: int,
+                    padding: int, bias: np.ndarray | None, permute: bool) -> np.ndarray:
+    """The transpose of `_conv` by (I, O, k, k) weights: (N, I, h, w) input,
+    whose h x w are the out_h x out_w of a conv of `out_shape` (N, O, H, W),
+    multiplied into columns and scattered onto a C-contiguous output, plus
+    `bias` (O,) when given.
 
-    A block's taps are added into a channels-last canvas, one tap at a time;
-    when the columns are C-contiguous each add reads whole contiguous channel
-    rows.  Every pixel sums its taps in the same order as an NCHW canvas
-    would, so the result is bit-identical to one.  Blocks hold about
-    COL2IM_BLOCK_BYTES of columns, so no call holds the whole batch's, and
-    every block holds two images or more (a lone last image joins the block
-    before): each block's GEMM then has two rows or more, and gives the bits
-    of the whole-batch GEMM, where a one-row product would run as a BLAS GEMV
-    and sum differently.  Callers keep their weight and bias gradients as
-    whole-batch sums, since blocking those would reorder the sums.  The
-    returned array is C-contiguous NCHW because a channels-last view would
-    reorder later reductions (bias gradients, FID moments) and change their
-    bits.
+    It runs a block of images at a time: einsum("if,nil->nlf") gives the
+    block's (N, L, F) columns, tap-major (k, k, O) and C-contiguous with
+    `permute`, which multiplies by a (I, k, k, O) copy of the weights, or
+    else in (O, k, k) order and viewed tap-major.  The taps are then added
+    into a channels-last canvas, one tap at a time; C-contiguous columns give
+    each add whole contiguous channel rows.  Every pixel sums its taps in the
+    same order as an NCHW canvas would, so the result is bit-identical to
+    one.  Blocks hold about COL2IM_BLOCK_BYTES of columns, so no call holds
+    the whole batch's, and every block holds two images or more (a lone last
+    image joins the block before): each block's GEMM then has two rows or
+    more, and gives the bits of the whole-batch GEMM, where a one-row product
+    would run as a BLAS GEMV and sum differently.  Callers keep their weight
+    and bias gradients as whole-batch sums, since blocking those would
+    reorder the sums.  The output is C-contiguous NCHW because a
+    channels-last view would reorder later reductions (bias gradients, FID
+    moments) and change their bits.
     """
-    n, c, h, w = x_shape
+    n, c, h, w = out_shape
     oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    x_mat = x.reshape(n, x.shape[1], oh * ow)
+    w_mat = (weights.transpose(0, 2, 3, 1) if permute else weights).reshape(weights.shape[0], -1)
     per_image = oh * ow * kernel * kernel * c * 4  # float32 bytes
     bounds = list(range(0, n, max(2, COL2IM_BLOCK_BYTES // per_image))) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     for a, b in zip(bounds, bounds[1:]):
-        cols = columns(a, b).reshape(b - a, oh, ow, kernel, kernel, c)
+        cols = np.einsum("if,nil->nlf", w_mat, x_mat[a:b], optimize=True)
+        if permute:
+            cols = cols.reshape(b - a, oh, ow, kernel, kernel, c)
+        else:
+            cols = cols.reshape(b - a, oh, ow, c, kernel, kernel).transpose(0, 1, 2, 4, 5, 3)
         if a == 0:
-            out = np.empty(x_shape, dtype=cols.dtype)
+            out = np.empty(out_shape, dtype=cols.dtype)
             canvas = np.empty((max(np.diff(bounds)), h + 2 * padding, w + 2 * padding, c),
                               dtype=cols.dtype)
         xp = canvas[:b - a]
@@ -228,13 +243,6 @@ def _col2im(columns, x_shape, kernel: int, stride: int, padding: int,
         else:
             np.add(image, bias[:, None, None], out=out[a:b])
     return out
-
-
-def _tap_major_view(cols: np.ndarray, kernel: int) -> np.ndarray:
-    """(N, L, C*k*k) GEMM output in (C, k, k) order -> a tap-major
-    (N, L, k*k, C) view of the same buffer."""
-    n, l, f = cols.shape
-    return cols.reshape(n, l, f // (kernel * kernel), kernel * kernel).transpose(0, 1, 3, 2)
 
 
 def _conv_out_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
@@ -279,34 +287,28 @@ class ConvLayer:
         self._x_shape = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        n = x.shape[0]
-        out_c = self.entry.weights.shape[0]
         windows = _windows(x, self.kernel, self.stride, self.padding)
-        w_mat = self.entry.weights.reshape(out_c, -1)
-        y = (_rows_product(windows, w_mat).reshape((n, out_c) + windows.shape[2:4])
-             + self.entry.bias[None, :, None, None])
+        y = _conv(windows, self.entry.weights) + self.entry.bias[None, :, None, None]
         if train:
             self._windows = windows
             self._x_shape = x.shape
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        n, out_c = dy.shape[0], dy.shape[1]
-        dy_mat = dy.reshape(n, out_c, -1)
-        self.grad_w += _cols_product(self._windows, dy_mat).reshape(self.entry.weights.shape)
+        self.grad_w += _conv_weight_grad(self._windows, dy)
         self.grad_b += dy.sum(axis=(0, 2, 3))
-        w_mat = self.entry.weights.reshape(out_c, -1)
-        return _col2im(
-            lambda a, b: _tap_major_view(
-                np.einsum("of,nol->nlf", w_mat, dy_mat[a:b], optimize=True), self.kernel),
-            self._x_shape, self.kernel, self.stride, self.padding)
+        # unpermuted weights: this GEMM has N = 9*C columns, and OpenBLAS sums
+        # the N-tail micro-tiles differently, so permuting them would change bits
+        return _conv_transpose(dy, self.entry.weights, self._x_shape, self.kernel,
+                               self.stride, self.padding, None, permute=False)
 
 
 class ConvTransposeLayer:
     """Transpose convolution; weights shaped (in_c, out_c, k, k).
 
     Forward is the input-gradient of the dual convolution mapping output back
-    to input, so shapes follow out = (in - 1) * stride - 2 * padding + kernel.
+    to input, so shapes follow out = (in - 1) * stride - 2 * padding + kernel,
+    and backward is that convolution's forward and weight gradient.
     """
 
     def __init__(self, entry: ParamEntry, kernel: int, stride: int, padding: int):
@@ -315,47 +317,29 @@ class ConvTransposeLayer:
         self.stride = stride
         self.padding = padding
         self.grad_w, self.grad_b = entry.grad_w, entry.grad_b
-        self._x_mat = None
-        self._x_hw = None
-
-    def _out_hw(self, h: int, w: int) -> tuple[int, int]:
-        return ((h - 1) * self.stride - 2 * self.padding + self.kernel,
-                (w - 1) * self.stride - 2 * self.padding + self.kernel)
+        self._x = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        n, in_c, h, w = x.shape
-        out_c = self.entry.weights.shape[1]
-        oh, ow = self._out_hw(h, w)
-        x_mat = x.reshape(n, in_c, h * w)
-        # tap-major (N, h*w, k*k, out_c) columns, C-contiguous, from permuted
-        # weights; but a one-row product runs as a BLAS GEMV, which splits its
-        # columns between threads by position: permuting them would change bits
-        permute = n * h * w > 1
-        weights = self.entry.weights.transpose(0, 2, 3, 1) if permute else self.entry.weights
-        w_mat = weights.reshape(in_c, -1)
-
-        def columns(a, b):
-            cols = np.einsum("if,nil->nlf", w_mat, x_mat[a:b], optimize=True)
-            return cols if permute else _tap_major_view(cols, self.kernel)
-
-        y = _col2im(columns, (n, out_c, oh, ow), self.kernel, self.stride, self.padding,
-                    self.entry.bias)
+        n, _, h, w = x.shape
+        out_shape = (n, self.entry.weights.shape[1],
+                     (h - 1) * self.stride - 2 * self.padding + self.kernel,
+                     (w - 1) * self.stride - 2 * self.padding + self.kernel)
+        # tap-major columns from permuted weights; but a one-row product runs
+        # as a BLAS GEMV, which splits its columns between threads by
+        # position: permuting them would change bits
+        y = _conv_transpose(x, self.entry.weights, out_shape, self.kernel, self.stride,
+                            self.padding, self.entry.bias, permute=n * h * w > 1)
         if train:
-            self._x_mat = x_mat
-            self._x_hw = (h, w)
+            self._x = x
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        n = dy.shape[0]
-        in_c = self.entry.weights.shape[0]
-        h, w = self._x_hw
         # one column buffer at a time: the weight gradient's is freed before
         # the input gradient's is gathered
         windows = _windows(dy, self.kernel, self.stride, self.padding)
-        self.grad_w += _cols_product(windows, self._x_mat).reshape(self.entry.weights.shape)
+        self.grad_w += _conv_weight_grad(windows, self._x)
         self.grad_b += dy.sum(axis=(0, 2, 3))
-        w_mat = self.entry.weights.reshape(in_c, -1)
-        return _rows_product(windows, w_mat).reshape(n, in_c, h, w)
+        return _conv(windows, self.entry.weights)
 
 
 class ActivationOp:

@@ -37,6 +37,7 @@ from .fitness import identity_embedding, random_projection_embedding
 from .gan import NoiseSource, generate_samples
 from .genome import (DISCRIMINATOR, GENERATOR, Gene, Genome, InnovationCounter,
                      new_minimal_genome, validate)
+from .variation import MIN_THRESHOLD
 
 DATASETS = ("mnist", "fashion-mnist", "ring2d")
 EMBEDDINGS = {"identity": identity_embedding, "randproj": random_projection_embedding}
@@ -192,7 +193,9 @@ def validate_config(config: RunConfig) -> None:
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, overridden by a key=value file, overridden by flags."""
+    """Defaults, overridden by a key=value file, overridden by `overrides`:
+    flags, or a record such as dataclasses.asdict after a JSON round trip
+    (lists become tuples)."""
     values: dict = {}
     if path is not None:
         try:
@@ -215,18 +218,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 values[key] = _parse_value(key, raw)
             except ValueError as exc:
                 raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
-    values.update(overrides or {})
-    return config_from_dict(values)
-
-
-def config_from_dict(record: dict) -> RunConfig:
-    """A RunConfig from key -> value, such as dataclasses.asdict after a JSON
-    round trip (lists become tuples)."""
-    for key in record:
+    for key, value in (overrides or {}).items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown key {key!r}")
-    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v
-                        for k, v in record.items()})
+        values[key] = tuple(value) if isinstance(value, list) else value
+    return RunConfig(**values)
 
 
 def save_config(config: RunConfig, path: str) -> None:
@@ -556,9 +552,10 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     out_dir is the directory that holds `ckpt`.
 
     Raises CheckpointError, naming state.bin, on a first line that is not a
-    JSON object, is of another version or breaks the format anywhere, or on
-    rows that do not match the layouts; a bad config record raises
-    ConfigError."""
+    JSON object, is of another version, breaks the format anywhere or holds
+    a value the program never writes (a negative generation or innovation
+    id, a speciation threshold below MIN_THRESHOLD), or on rows that do not
+    match the layouts; a bad config record raises ConfigError."""
     state_file = os.path.join(ckpt, "state.bin")
     with open(state_file, "rb") as fh:
         raw = fh.read()
@@ -578,8 +575,10 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
     if "out_dir" in doc["config"]:
         raise CheckpointError(f"{state_file}: 'config' records an out_dir; "
                               "a run lives in the directory that holds its checkpoint")
-    config = config_from_dict(dict(doc["config"],
-                                   out_dir=os.path.normpath(os.path.join(ckpt, os.pardir))))
+    if doc["generation"] < 0:
+        raise CheckpointError(f"{state_file}: generation {doc['generation']} is negative")
+    config = load_config(overrides=dict(
+        doc["config"], out_dir=os.path.normpath(os.path.join(ckpt, os.pardir))))
     rows = memoryview(raw)[end + 1:]
 
     state = init_state(config)
@@ -609,8 +608,10 @@ def read_checkpoint(ckpt: str) -> tuple[EvolutionState, RunConfig]:
         best = doc["prev_best"][role]
         if best is not None and best not in [ind.id for ind in individuals]:
             raise CheckpointError(f"{state_file}: prev_best {role} {best} is not among the {name}")
-        if not math.isfinite(doc["speciation"][role]):
-            raise CheckpointError(f"{state_file}: speciation {role} is not finite")
+        threshold = doc["speciation"][role]
+        if not MIN_THRESHOLD <= threshold < math.inf:  # speciate never returns less
+            raise CheckpointError(f"{state_file}: speciation {role} {threshold} outside "
+                                  f"[{MIN_THRESHOLD}, inf)")
     ids = [ind.id for ind in state.generators + state.discriminators]
     if len(set(ids)) < len(ids):
         raise CheckpointError(f"{state_file}: individual ids {ids} repeat")

@@ -19,8 +19,7 @@ from .gan import PairingOutcome
 class Embedding:
     """Deterministic map from a sample batch to fixed-size feature vectors."""
 
-    def __init__(self, name: str, transform):
-        self.name = name
+    def __init__(self, transform):
         self._transform = transform
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
@@ -31,7 +30,7 @@ class Embedding:
 
 
 def identity_embedding() -> Embedding:
-    return Embedding("identity", lambda x: x.reshape(x.shape[0], -1))
+    return Embedding(lambda x: x.reshape(x.shape[0], -1))
 
 
 def random_projection_embedding(out_dim: int = 64, matrix_seed: int = 7) -> Embedding:
@@ -47,7 +46,7 @@ def random_projection_embedding(out_dim: int = 64, matrix_seed: int = 7) -> Embe
             matrices[in_dim] = rng.standard_normal((in_dim, out_dim)) / np.sqrt(in_dim)
         return flat @ matrices[in_dim]
 
-    return Embedding(f"randproj{out_dim}", transform)
+    return Embedding(transform)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import NetworkInstance, adam_step
-
-LOG_CLAMP = 1e-7
+from .backend import PROB_CLIP, NetworkInstance, adam_step
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.clip(p, LOG_CLAMP, 1.0))
+    return np.log(np.clip(p, PROB_CLIP, 1.0))
 
 
 def d_loss(d_real: np.ndarray, d_fake: np.ndarray) -> float:
@@ -41,7 +39,7 @@ def g_loss(d_fake: np.ndarray) -> float:
 def _neg_log_grad(p: np.ndarray) -> np.ndarray:
     """d/dp of -mean(log clamp(p)); zero where the clamp binds."""
     p = np.asarray(p, dtype=np.float64).ravel()
-    return np.where(p > LOG_CLAMP, -1.0 / (p.size * np.maximum(p, LOG_CLAMP)), 0.0)
+    return np.where(p > PROB_CLIP, -1.0 / (p.size * np.maximum(p, PROB_CLIP)), 0.0)
 
 
 def d_loss_grads(d_real: np.ndarray, d_fake: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

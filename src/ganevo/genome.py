@@ -85,9 +85,6 @@ class Genome:
     def innovation_ids(self) -> frozenset[int]:
         return frozenset(g.innovation_id for g in self.genes)
 
-    def __len__(self) -> int:
-        return len(self.genes)
-
 
 def spatial_kind(role: str) -> str:
     """The role's convolutional gene kind: its section that is not linear."""
@@ -164,6 +161,8 @@ def validate(
             violations.append(f"gene {i}: units {gene.units} not positive")
         if gene.activation not in ACTIVATIONS:
             violations.append(f"gene {i}: unknown activation {gene.activation!r}")
+        if gene.innovation_id < 0:
+            violations.append(f"gene {i}: innovation id {gene.innovation_id} negative")
         if gene.innovation_id in seen_ids:
             violations.append(f"gene {i}: duplicate innovation id {gene.innovation_id}")
         seen_ids.add(gene.innovation_id)

@@ -93,7 +93,7 @@ class TestConfigLoading:
         with pytest.raises(E.ConfigError, match="batch_size"):
             E.RunConfig(batch_size=0)
         with pytest.raises(E.ConfigError, match="species_target"):
-            E.config_from_dict(dict(dataclasses.asdict(cfg), species_target=0))
+            E.load_config(overrides=dict(dataclasses.asdict(cfg), species_target=0))
 
     @pytest.mark.parametrize("key,value", [
         ("batch_size", "8"), ("batch_size", 8.0), ("batch_size", True),
@@ -104,7 +104,7 @@ class TestConfigLoading:
             E.load_config(overrides={key: value})
         record = dict(dataclasses.asdict(E.RunConfig()), **{key: value})
         with pytest.raises(E.ConfigError, match=key):
-            E.config_from_dict(json.loads(json.dumps(record)))
+            E.load_config(overrides=json.loads(json.dumps(record)))
 
     def test_int_accepted_for_float(self):
         cfg = E.load_config(overrides={"learning_rate": 1, "ring_radius": 3})
@@ -145,7 +145,7 @@ class TestConfigLoading:
     def test_dict_round_trip(self):
         cfg = E.load_config(overrides={"seed": 77})
         record = json.loads(json.dumps(dataclasses.asdict(cfg)))
-        assert E.config_from_dict(record) == cfg
+        assert E.load_config(overrides=record) == cfg
 
 
 class TestIdxParsing:
@@ -538,6 +538,10 @@ class TestCheckpointErrors:
         (("populations", "generators", 0, "id"), 12),  # the first discriminator's id
         (("speciation", "generator"), "abc"),
         (("speciation", "discriminator"), float("nan")),
+        (("speciation", "generator"), 0.25),  # below variation.MIN_THRESHOLD
+        (("generation",), -5),
+        # -1 is the output adapter's id, whose ParamStore key the gene could share
+        (("populations", "generators", 0, "genome", "genes", 0, "innovation_id"), -1),
         (("prev_best", "discriminator"), "abc"),
         (("prev_best", "generator"), 99),
         (("populations", "discriminators", 1, "id"), 12),  # the first discriminator's id

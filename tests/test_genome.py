@@ -120,6 +120,11 @@ class TestValidate:
         ])
         assert any("duplicate" in v for v in G.validate(genome))
 
+    def test_negative_id(self):
+        # ids count up from 0; -1 is reserved for the output adapter
+        genome = make_genome(G.DISCRIMINATOR, [(G.ADAPTER_ID, G.LINEAR, 64, "relu")])
+        assert any("innovation id -1 negative" in v for v in G.validate(genome))
+
 
 class TestInferShapesDiscriminator:
     def test_two_convs_halve_spatial(self):
