@@ -37,6 +37,10 @@ OpenBLAS splits between threads by column position.  Activations avoid
 boolean-mask indexing, and Adam applies one bias-corrected update per run of
 entries that share a step count.
 
+An op keeps what its backward reads from `forward(train=True)` until that
+backward runs, and then drops it, so a network holds no activations once its
+backward returns; one training forward allows one backward.
+
 Trained state lives in a ParamStore, one array per network, keyed by
 (innovation id, shape signature).  Building a network against a parent store
 copies every entry whose key is unchanged, which is the mechanism that
@@ -269,6 +273,7 @@ class LinearLayer:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.grad_w += dy.T @ self._x
+        self._x = None
         self.grad_b += dy.sum(axis=0)
         dx = dy @ self.entry.weights
         return dx.reshape((dy.shape[0],) + self.in_shape)
@@ -296,6 +301,7 @@ class ConvLayer:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.grad_w += _conv_weight_grad(self._windows, dy)
+        self._windows = None
         self.grad_b += dy.sum(axis=(0, 2, 3))
         # unpermuted weights: this GEMM has N = 9*C columns, and OpenBLAS sums
         # the N-tail micro-tiles differently, so permuting them would change bits
@@ -338,6 +344,7 @@ class ConvTransposeLayer:
         # the input gradient's is gathered
         windows = _windows(dy, self.kernel, self.stride, self.padding)
         self.grad_w += _conv_weight_grad(windows, self._x)
+        self._x = None
         self.grad_b += dy.sum(axis=(0, 2, 3))
         return _conv(windows, self.entry.weights)
 
@@ -375,19 +382,18 @@ class ActivationOp:
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        cache, self._cache = self._cache, None
         if self.name == "relu":
-            return dy * (self._cache > 0)
+            return dy * (cache > 0)
         if self.name == "leaky_relu":
             one, slope = dy.dtype.type(1), dy.dtype.type(LEAKY_SLOPE)
-            return dy * np.where(self._cache > 0, one, slope)
+            return dy * np.where(cache > 0, one, slope)
         if self.name == "elu":
-            x, y = self._cache
+            x, y = cache
             return dy * np.where(x > 0, 1.0, y + ELU_ALPHA)
         if self.name == "sigmoid":
-            s = self._cache
-            return dy * s * (1.0 - s)
-        s = self._cache  # tanh
-        return dy * (1.0 - s * s)
+            return dy * cache * (1.0 - cache)
+        return dy * (1.0 - cache * cache)  # tanh
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -415,7 +421,9 @@ class SigmoidHead:
         return clipped
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._mask * self._s * (1.0 - self._s)
+        s, self._s = self._s, None
+        mask, self._mask = self._mask, None
+        return dy * mask * s * (1.0 - s)
 
 
 class ReshapePadOp:
@@ -495,9 +503,13 @@ class NetworkInstance:
         return x
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; returns gradient w.r.t. the input."""
+        """Accumulate parameter gradients; returns gradient w.r.t. the input.
+
+        Each op drops its forward cache as its backward runs, so one training
+        forward allows one backward; another raises RuntimeError."""
         if not self._has_cache:
             raise RuntimeError("backward called without a cached forward pass")
+        self._has_cache = False
         d = np.asarray(dout, dtype=self.dtype)
         for op in reversed(self.ops):
             d = op.backward(d)

@@ -368,6 +368,34 @@ class TestBackward:
         net.forward(np.zeros((2, 1, 4, 4), dtype=np.float32), train=False)
         with pytest.raises(RuntimeError):
             net.backward(np.ones(2, dtype=np.float32))
+        # one training forward allows one backward: the ops dropped their
+        # caches in the first
+        net.forward(np.zeros((2, 1, 4, 4), dtype=np.float32), train=True)
+        net.backward(np.ones(2, dtype=np.float32))
+        with pytest.raises(RuntimeError):
+            net.backward(np.ones(2, dtype=np.float32))
+
+    @pytest.mark.parametrize("role, specs", [
+        (G.GENERATOR, [(0, G.LINEAR, 512, "relu"), (1, G.TRANSPOSE_CONV, 128, "relu"),
+                       (2, G.TRANSPOSE_CONV, 64, "leaky_relu")]),
+        (G.DISCRIMINATOR, [(0, G.CONV, 64, "leaky_relu"), (1, G.CONV, 128, "leaky_relu"),
+                           (2, G.LINEAR, 256, "elu")]),
+    ], ids=["generator", "discriminator"])
+    def test_backward_holds_nothing(self, role, specs):
+        # the bench's mnist pair: once backward returns, every op has dropped
+        # its forward cache, so only the input gradient is left allocated
+        rng = np.random.default_rng(5)
+        net, _ = build(make_genome(role, specs), data_shape=(1, 28, 28), noise_dim=100,
+                       rng=rng)
+        x = rng.standard_normal((8,) + net.input_shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            dy = np.ones_like(net.forward(x, train=True))
+            dx = net.backward(dy)
+            held = tracemalloc.get_traced_memory()[0] - dx.nbytes - dy.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 64 << 10, held
 
     def test_zero_upstream_zero_gradients(self, rng):
         genome = make_genome(G.DISCRIMINATOR, [(0, G.CONV, 3, "relu"),
@@ -468,7 +496,7 @@ class TestWeightTransferProperty:
 
 def col2im_nchw(cols, x_shape, kernel, stride, padding):
     """The NCHW scatter-add over (N, C*k*k, out_h*out_w) columns that
-    `B._col2im` must match bit for bit."""
+    `B._conv_transpose` must match bit for bit."""
     n, c, h, w = x_shape
     oh = (h + 2 * padding - kernel) // stride + 1
     ow = (w + 2 * padding - kernel) // stride + 1
@@ -512,13 +540,13 @@ def openblas_config():
 
 BLAS_TILING = ("ConvTransposeLayer.forward matches the NCHW scatter only while the BLAS sums "
                "its permuted-weight N = 16*out_c GEMM without a micro-tile tail and one-row "
-               "products (GEMVs) keep the weights unpermuted; if _col2im is not at fault, "
-               "that assumption broke on {}")
+               "products (GEMVs) keep the weights unpermuted; if _conv_transpose is not at "
+               "fault, that assumption broke on {}")
 
 
 def images_per_block(positions, row):
-    """Images in a full `_col2im` block of `positions` column rows of `row`
-    float32 entries per image."""
+    """Images in a full `_conv_transpose` block of `positions` column rows of
+    `row` float32 entries per image."""
     return max(2, B.COL2IM_BLOCK_BYTES // (positions * row * 4))
 
 
@@ -529,8 +557,8 @@ def transpose_conv_outputs(hw):
     On 1x1 and 2x2 inputs in_c also runs up to 600 at batch 1-8, the wide,
     short GEMMs a generator grown from a 1x1 input runs; batch 1 on a 1x1
     input is the one-row product (a GEMV) the layer must not permute.  At
-    7x7 and 14x14 one batch spans three `_col2im` blocks, and on 1x1 inputs
-    one leaves a lone image after three full blocks, which must not be
+    7x7 and 14x14 one batch spans three `_conv_transpose` blocks, and on 1x1
+    inputs one leaves a lone image after three full blocks, which must not be
     multiplied as a one-row block."""
     rng = np.random.default_rng(hw[0] * 100 + hw[1])
     cases = [(rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 40)) for _ in range(6)]
