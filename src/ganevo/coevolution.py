@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import NetworkInstance, ParamStore, build_network
-from .fitness import Embedding, assign_fitness, fid, rmse_metric
+from .fitness import EMBEDDINGS, assign_fitness, fid, rmse_metric
 from .gan import NoiseSource, generate_samples, train_pair
 from .genome import DISCRIMINATOR, GENERATOR, Genome, InnovationCounter, infer_shapes
 from .variation import DEFAULT_THRESHOLD, Offspring, goodness_key, next_generation, speciate
@@ -111,15 +111,14 @@ class Individual:
 
 @dataclass
 class EvolutionState:
+    """A run between generations: exactly what its checkpoint records."""
+
     generation: int
     generators: list[Individual]
     discriminators: list[Individual]
     innovations: InnovationCounter
     rng: dict[str, np.random.Generator]
-    train_noise: NoiseSource
-    eval_noise: NoiseSource
     data_source: object
-    embedding: Embedding
     # per role: the adaptive speciation threshold, and the id of the elite
     # child of the last generation's best individual (None before the first)
     threshold: dict[str, float] = field(
@@ -250,8 +249,11 @@ def best_generator_network(state: EvolutionState, config) -> NetworkInstance | N
 
 def run_generation(state: EvolutionState, config) -> tuple[EvolutionState, MetricsRecord]:
     """Execute one full generation of a RunConfig in place; returns the
-    metrics record."""
+    state and the generation's metrics record."""
     data = state.data_source
+    noise_train = NoiseSource(config.noise_dim, state.rng["noise_train"])
+    noise_eval = NoiseSource(config.noise_dim, state.rng["noise_eval"])
+    embedding = EMBEDDINGS[config.embedding]()
     parents = {role: getattr(state, name) for role, name in POPULATIONS.items()}
 
     for population in parents.values():
@@ -259,20 +261,20 @@ def run_generation(state: EvolutionState, config) -> tuple[EvolutionState, Metri
 
     pairs = make_pairs(config.pairing, state.generators, state.discriminators,
                        state.prev_best, state.rng["pairing"])
-    outcomes = [train_pair(d, g, data, config, state.train_noise) for g, d in pairs]
+    outcomes = [train_pair(d, g, data, config, noise_train) for g, d in pairs]
 
     real_fid = data.next_batch(config.fid_samples)
     fid_map = {}
     for g in state.generators:
-        fakes = generate_samples(g.network, state.eval_noise, config.fid_samples)
-        fid_map[g.id] = fid(state.embedding, real_fid, fakes, config.fid_samples)
+        fakes = generate_samples(g.network, noise_eval, config.fid_samples)
+        fid_map[g.id] = fid(embedding, real_fid, fakes, config.fid_samples)
     fitness = assign_fitness(outcomes, fid_map,
                              discriminator_ids=[d.id for d in state.discriminators])
 
     best = {role: max(population, key=lambda ind: goodness_key(fitness[ind.id], ind.id))
             for role, population in parents.items()}
     real_rmse = data.next_batch(config.rmse_samples)
-    fake_rmse = generate_samples(best[GENERATOR].network, state.eval_noise, config.rmse_samples)
+    fake_rmse = generate_samples(best[GENERATOR].network, noise_eval, config.rmse_samples)
     rmse = rmse_metric(fake_rmse, real_rmse, config.rmse_samples)
 
     values = {"generation": state.generation, "best_fid": fid_map[best[GENERATOR].id],

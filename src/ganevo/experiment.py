@@ -33,14 +33,13 @@ from .coevolution import (
     best_generator_network,
     run_generation,
 )
-from .fitness import identity_embedding, random_projection_embedding
+from .fitness import EMBEDDINGS
 from .gan import NoiseSource, generate_samples
 from .genome import (DISCRIMINATOR, GENERATOR, Gene, Genome, InnovationCounter,
                      new_minimal_genome, validate)
 from .variation import MIN_THRESHOLD
 
 DATASETS = ("mnist", "fashion-mnist", "ring2d")
-EMBEDDINGS = {"identity": identity_embedding, "randproj": random_projection_embedding}
 
 IDX_IMAGES_MAGIC = 0x00000803
 
@@ -712,10 +711,7 @@ def init_state(config: RunConfig) -> EvolutionState:
         discriminators=population[config.generator_population:],
         innovations=innovations,
         rng=rng,
-        train_noise=NoiseSource(config.noise_dim, rng["noise_train"]),
-        eval_noise=NoiseSource(config.noise_dim, rng["noise_eval"]),
         data_source=make_data_source(config, rng["data"]),
-        embedding=EMBEDDINGS[config.embedding](),
     )
 
 

@@ -9,6 +9,7 @@ Also provides the RMSE metric and a classifier-based diversity score.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,10 @@ def random_projection_embedding(out_dim: int = 64, matrix_seed: int = 7) -> Embe
         return flat @ matrices[in_dim]
 
     return Embedding(transform)
+
+
+# a RunConfig's `embedding` names one of these factories
+EMBEDDINGS = {"identity": identity_embedding, "randproj": random_projection_embedding}
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,9 @@ def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
 
 def fid(embedding: Embedding, real_samples: np.ndarray, fake_samples: np.ndarray,
         n: int) -> float:
-    """Frechet distance between embedded real and fake sample Gaussians."""
+    """Frechet distance between embedded real and fake sample Gaussians;
+    inf when a fake sample is not finite, so a diverged generator ranks
+    last."""
     real_samples = np.asarray(real_samples)
     fake_samples = np.asarray(fake_samples)
     if real_samples.shape[0] < n or fake_samples.shape[0] < n:
@@ -102,6 +109,8 @@ def fid(embedding: Embedding, real_samples: np.ndarray, fake_samples: np.ndarray
             f"need {n} samples per side, got {real_samples.shape[0]} real "
             f"and {fake_samples.shape[0]} fake"
         )
+    if not np.isfinite(fake_samples[:n]).all():
+        return math.inf
     real_gauss = estimate_gaussian(embedding(real_samples[:n]))
     fake_gauss = estimate_gaussian(embedding(fake_samples[:n]))
     return frechet_distance(real_gauss, fake_gauss)
@@ -146,8 +155,9 @@ def assign_fitness(
 ) -> dict[int, float]:
     """Discriminators get their mean bout loss; generators get their FID.
 
-    Both are values to minimise.  A discriminator with no pairings is an
-    error (its fitness would be undefined).
+    Both are values to minimise, and one that is not finite becomes inf, so
+    a diverged individual ranks last.  A discriminator with no pairings is
+    an error (its fitness would be undefined).
     """
     d_losses: dict[int, list[float]] = {}
     for outcome in pairing_outcomes:
@@ -158,4 +168,4 @@ def assign_fitness(
             raise ValueError(f"discriminators with zero pairings: {missing}")
     fitness = {d_id: float(np.mean(losses)) for d_id, losses in d_losses.items()}
     fitness.update((g_id, float(value)) for g_id, value in fid_per_generator.items())
-    return fitness
+    return {i: value if math.isfinite(value) else math.inf for i, value in fitness.items()}

@@ -104,19 +104,30 @@ def section_boundary(genome: Genome) -> int:
     return boundary
 
 
+def random_units(kind: str, rng, config) -> int:
+    """A `kind` gene's size: uniform over `feature_range` if linear, else `channel_range`."""
+    lo, hi = config.feature_range if kind == LINEAR else config.channel_range
+    return int(rng.integers(lo, hi + 1))
+
+
+def random_activation(rng) -> str:
+    return ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))]
+
+
+def random_gene(kind: str, rng, counter: InnovationCounter, config) -> Gene:
+    """A gene of `kind` under a fresh innovation id: its units are drawn
+    first, then its activation."""
+    return Gene(innovation_id=counter.next_id(), kind=kind,
+                units=random_units(kind, rng, config), activation=random_activation(rng))
+
+
 def new_minimal_genome(role: str, rng, counter: InnovationCounter, config) -> Genome:
-    """Starting genome for either role: a single random linear gene sized
-    within a RunConfig's `feature_range`, capped at its `genome_limit`."""
+    """Starting genome for either role: a single random linear gene, capped
+    at a RunConfig's `genome_limit`."""
     if role not in ROLES:
         raise ValueError(f"unknown role {role!r}")
-    lo, hi = config.feature_range
-    gene = Gene(
-        innovation_id=counter.next_id(),
-        kind=LINEAR,
-        units=int(rng.integers(lo, hi + 1)),
-        activation=ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))],
-    )
-    return Genome(role=role, genes=(gene,), max_len=config.genome_limit)
+    return Genome(role=role, genes=(random_gene(LINEAR, rng, counter, config),),
+                  max_len=config.genome_limit)
 
 
 def distance(a: Genome, b: Genome) -> int:

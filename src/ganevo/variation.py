@@ -10,16 +10,17 @@ RunConfig each call is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .genome import (
-    ACTIVATIONS,
     LINEAR,
     SECTIONS,
-    Gene,
     Genome,
     InnovationCounter,
     distance,
+    random_activation,
+    random_gene,
+    random_units,
     section_boundary,
     spatial_kind,
 )
@@ -49,21 +50,6 @@ class Offspring:
     elite: bool
 
 
-def _random_units(kind: str, rng, config) -> int:
-    lo, hi = config.feature_range if kind == LINEAR else config.channel_range
-    return int(rng.integers(lo, hi + 1))
-
-
-def _random_gene(role: str, rng, counter: InnovationCounter, config) -> Gene:
-    kind = (LINEAR, spatial_kind(role))[int(rng.integers(2))]
-    return Gene(
-        innovation_id=counter.next_id(),
-        kind=kind,
-        units=_random_units(kind, rng, config),
-        activation=ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))],
-    )
-
-
 def mutate_with_events(genome: Genome, config, rng,
                        counter: InnovationCounter) -> tuple[Genome, dict[str, bool]]:
     """Apply add/remove/change coin flips at a RunConfig's rates, in order;
@@ -78,10 +64,11 @@ def mutate_with_events(genome: Genome, config, rng,
     if rng.random() < config.add_layer_rate:
         events["add_layer"] = True
         if len(genes) < genome.max_len:
-            gene = _random_gene(genome.role, rng, counter, config)
+            kind = (LINEAR, spatial_kind(genome.role))[int(rng.integers(2))]
+            gene = random_gene(kind, rng, counter, config)
             boundary = section_boundary(genome)
             # legal insertion slots keep the two sections contiguous
-            if gene.kind == SECTIONS[genome.role][0]:
+            if kind == SECTIONS[genome.role][0]:
                 slots = list(range(0, boundary + 1))
             else:
                 slots = list(range(boundary, len(genes) + 1))
@@ -99,15 +86,8 @@ def mutate_with_events(genome: Genome, config, rng,
         old = genes[idx]
         # the activation is always redrawn; the size attribute only half the
         # time, since resizing invalidates the layer's trained parameters
-        units = old.units
-        if rng.random() < 0.5:
-            units = _random_units(old.kind, rng, config)
-        genes[idx] = Gene(
-            innovation_id=old.innovation_id,
-            kind=old.kind,
-            units=units,
-            activation=ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))],
-        )
+        units = random_units(old.kind, rng, config) if rng.random() < 0.5 else old.units
+        genes[idx] = replace(old, units=units, activation=random_activation(rng))
 
     return Genome(role=genome.role, genes=tuple(genes), max_len=genome.max_len), events
 

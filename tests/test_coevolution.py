@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import shutil
 
@@ -261,10 +262,18 @@ class TestRunEvolution:
         assert checkpoint_contents(tmp_path / "unset" / "run") == \
             checkpoint_contents(tmp_path / "set" / "run")
 
-    @pytest.mark.parametrize("case", ["ring2d", "idx"])
-    def test_resume_matches_uninterrupted(self, tmp_path, case):
-        _, state = E.run_evolution(case_config(tmp_path, case, "full", generations=4))
-        E.run_evolution(case_config(tmp_path, case, "half", generations=2))
+    # the other pairings send all-vs-best's prev_best and the pairing
+    # stream through a checkpoint
+    @pytest.mark.parametrize("case, overrides", [
+        ("ring2d", {}), ("idx", {}),
+        ("ring2d", dict(pairing="best")),
+        ("ring2d", dict(pairing="random", generator_population=2, discriminator_population=4)),
+        ("ring2d", dict(embedding="randproj")),
+    ], ids=["ring2d", "idx", "best", "random-2+4", "randproj"])
+    def test_resume_matches_uninterrupted(self, tmp_path, case, overrides):
+        _, state = E.run_evolution(case_config(tmp_path, case, "full", generations=4,
+                                               **overrides))
+        E.run_evolution(case_config(tmp_path, case, "half", generations=2, **overrides))
         E.resume_evolution(str(tmp_path / "half" / "run" / "checkpoint"),
                            generations=4)
         full = (tmp_path / "full" / "run" / "metrics.txt").read_text()
@@ -276,6 +285,28 @@ class TestRunEvolution:
             kinds = {gene.kind for ind in state.generators + state.discriminators
                      for gene in ind.genome.genes}
             assert {G.CONV, G.TRANSPOSE_CONV} <= kinds
+
+    def test_diverged_generator_is_contained(self, tmp_path):
+        """NaN weights in one generator give it FID inf instead of ending the
+        run.  The NaN still spreads through the bouts: every discriminator
+        that trains against it gets fitness inf.  Resume stays bit-exact."""
+        config = tiny_config(tmp_path / "nan", generations=2)
+        E.run_evolution(config)
+        state, config = E.read_checkpoint(E.checkpoint_dir(config.out_dir))
+        state.generators[1].param_store.data[0] = np.nan
+        E.write_checkpoint(state, config, config.out_dir)
+        for run in ("whole", "split"):
+            shutil.copytree(config.out_dir, tmp_path / run)
+        E.resume_evolution(str(tmp_path / "whole" / "checkpoint"), generations=4)
+        E.resume_evolution(str(tmp_path / "split" / "checkpoint"), generations=3)
+        E.resume_evolution(str(tmp_path / "split" / "checkpoint"), generations=4)
+        records = E.read_metrics(str(tmp_path / "whole"))
+        assert [r.generation for r in records] == [0, 1, 2, 3]
+        assert records[1].g_mean_fitness < math.inf
+        assert records[2].g_mean_fitness == records[2].d_best_fitness == math.inf
+        assert (tmp_path / "whole" / "metrics.txt").read_bytes() == \
+            (tmp_path / "split" / "metrics.txt").read_bytes()
+        assert checkpoint_contents(tmp_path / "whole") == checkpoint_contents(tmp_path / "split")
 
     def test_resume_drops_metrics_past_checkpoint(self, tmp_path):
         E.run_evolution(tiny_config(tmp_path / "full", generations=4))

@@ -395,6 +395,43 @@ class TestParamStoreSerialization:
         assert len(set(steps)) == len(steps) > len(before)
 
 
+class TestStateIsTheCheckpoint:
+    def test_every_state_field_survives_a_checkpoint(self, tmp_path):
+        """EvolutionState holds exactly what state.bin records, and reading a
+        checkpoint back restores each of those fields."""
+        data = tmp_path / "data"
+        (data / "mnist").mkdir(parents=True)
+        images = np.random.default_rng(3).integers(0, 256, size=(7, 8, 8))
+        write_idx_images(str(data / "mnist" / "train-images-idx3-ubyte"), images)
+        config = E.load_config(overrides=dict(
+            dataset="mnist", data_dir=str(data), generations=2, generator_population=2,
+            discriminator_population=3, batches_per_pair=2, batch_size=4, fid_samples=8,
+            rmse_samples=8, noise_dim=4, feature_range=(4, 8), channel_range=(2, 4),
+            add_layer_rate=0.5, pairing="best", seed=6, out_dir=str(tmp_path / "run")))
+        _, state = E.run_evolution(config)
+        fields = {f.name for f in dataclasses.fields(C.EvolutionState)}
+        assert fields == {"generation", "generators", "discriminators", "innovations", "rng",
+                          "data_source", "threshold", "prev_best"}
+        loaded, _ = E.read_checkpoint(E.write_checkpoint(state, config, str(tmp_path / "copy")))
+        assert loaded.generation == state.generation == 2
+        assert loaded.innovations.next == state.innovations.next
+        assert {name: s.bit_generator.state for name, s in loaded.rng.items()} == \
+            {name: s.bit_generator.state for name, s in state.rng.items()}
+        assert loaded.data_source.state() == state.data_source.state()
+        assert loaded.threshold == state.threshold
+        assert loaded.prev_best == state.prev_best
+        assert None not in state.prev_best.values()
+        for name in ("generators", "discriminators"):
+            before, after = getattr(state, name), getattr(loaded, name)
+            assert len(before) == len(after)
+            for a, b in zip(before, after):
+                assert (a.id, a.genome, a.gene_reuse) == (b.id, b.genome, b.gene_reuse)
+                assert list(a.param_store.entries) == list(b.param_store.entries)
+                assert [e.step for e in a.param_store.entries.values()] == \
+                    [e.step for e in b.param_store.entries.values()]
+                assert np.array_equal(a.param_store.data[:3], b.param_store.data[:3])
+
+
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
     """(JSON document, row bytes, scratch directory) of a checkpoint."""

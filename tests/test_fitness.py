@@ -130,6 +130,12 @@ class TestFid:
         with pytest.raises(ValueError):
             F.fid(F.identity_embedding(), samples, samples, n=11)
 
+    def test_non_finite_fake_sample_gives_inf(self, rng):
+        real = rng.standard_normal((10, 3))
+        fake = real.copy()
+        fake[4, 1] = np.nan
+        assert F.fid(F.identity_embedding(), real, fake, n=10) == np.inf
+
 
 class TestEmbeddings:
     def test_identity_flattens(self, rng):
@@ -233,6 +239,12 @@ class TestAssignFitness:
         for _ in range(5):
             shuffled = [outcomes[i] for i in rng.permutation(len(outcomes))]
             assert F.assign_fitness(shuffled, fid_map) == base
+
+    def test_non_finite_values_rank_last(self):
+        outcomes = [outcome(1, 2, np.nan), outcome(1, 3, 1.0), outcome(4, 3, np.inf),
+                    outcome(4, 5, 2.0)]
+        records = F.assign_fitness(outcomes, {1: np.nan, 4: 3.0})
+        assert records == {2: np.inf, 3: np.inf, 5: 2.0, 1: np.inf, 4: 3.0}
 
     def test_zero_pairing_discriminator_rejected(self):
         with pytest.raises(ValueError):
