@@ -8,34 +8,16 @@ and parameter transfer between generations.
 Three routines serve both convolution layers, since a transpose conv is a
 conv run backwards: `_conv` (the conv forward and the transpose-conv input
 gradient), `_conv_weight_grad` (both weight gradients) and `_conv_transpose`
-(the transpose-conv forward and the conv input gradient).  Each is one GEMM.
-
-`_conv` and `_conv_weight_grad` read k x k image windows: they gather their
-operand from a strided view of the windows straight into the order their
-matmul reads, in one copy.  Byte for byte and stride for stride it is the
-operand numpy's einsum built by copying a C-contiguous (N, C*k*k, L) column
-buffer into contraction order, so the products keep einsum's bits at any
-BLAS thread count; where N or L is 1 einsum's operand was a view of that
-buffer, whose strides pick the BLAS or numpy loop, and `_gather` keeps the
-buffer's order.  The conv caches its windows, not its columns, and the
-transpose-conv backward frees one column buffer before it gathers the next.
-These GEMMs run over the whole batch: blocking them over images reorders the
-weight-gradient sums and changes some input-gradient bits.
-
-`_conv_transpose` runs its GEMM and the scatter of its columns back onto an
-image for a block of two or more images at a time, about one core's L2 of
-columns, into a C-contiguous NCHW output, bit-identical to one whole-batch
-GEMM and NCHW scatter; no call holds the whole batch's column buffer.  With
-`permute` it gets tap-major columns straight from its GEMM by multiplying by
-a (I, k, k, O) copy of its weights; without, it views its (O, k, k)-ordered
-columns tap-major.  The transpose-conv forward permutes.  The conv input
-gradient does not: its GEMM has N = 9*C columns, and OpenBLAS sums the
-N-tail micro-tiles differently, so permuting its weights would change bits
-(the transpose conv's N = 16*out_c has no tail).  Nor does a transpose conv
-whose product has one row (batch 1 on a 1x1 input): that is a GEMV, which
-OpenBLAS splits between threads by column position.  Activations avoid
-boolean-mask indexing, and Adam applies one bias-corrected update per run of
-entries that share a step count.
+(the transpose-conv forward and the conv input gradient).  Each is one GEMM
+over one column buffer, and the two that make images, `_conv` and
+`_conv_transpose`, return them C-contiguous NCHW.  `_conv` and
+`_conv_weight_grad` share the (C*k*k, N*L) columns `_columns` gathers from a
+strided view of k x k image windows; the conv caches its windows, not its
+columns, and the transpose-conv backward gathers once for both its products.
+`_conv_transpose` splits its GEMM and the scatter of its columns back onto an
+image into blocks of images only to bound memory: no call holds the whole
+batch's column buffer.  Activations avoid boolean-mask indexing, and Adam
+applies one bias-corrected update per run of entries that share a step count.
 
 An op keeps what its backward reads from `forward(train=True)` until that
 backward runs, and then drops it, so a network holds no activations once its
@@ -69,7 +51,7 @@ PROB_CLIP = 1e-7
 # bytes of float32 columns per block of images.
 COL2IM_BLOCK_BYTES = 2 << 20
 
-ADAM_BETA1 = 0.9
+ADAM_BETA1 = 0.5
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
@@ -150,92 +132,53 @@ def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarra
     return windows[:, :, ::stride, ::stride]
 
 
-def _gather(windows: np.ndarray, rows: bool) -> np.ndarray:
-    """The 2-D operand that a two-operand einsum builds from the C-contiguous
-    (N, C*k*k, L = out_h*out_w) column buffer of `windows`: (N*L, C*k*k) rows,
-    or (C*k*k, N*L) columns, gathered from the windows in one copy.
-
-    einsum reshapes a transposed view of the buffer, which copies it into
-    that order unless N or L is 1; then its operand is a view of the buffer
-    itself, so the buffer's order is gathered and viewed instead."""
-    n, c, oh, ow, k, _ = windows.shape
-    target = (0, 2, 3, 1, 4, 5) if rows else (1, 4, 5, 0, 2, 3)
-    order = target if n > 1 and oh * ow > 1 else (0, 1, 4, 5, 2, 3)
-    gathered = np.ascontiguousarray(windows.transpose(order))
-    # the axes of `gathered`, taken in target order
-    view = gathered.transpose(np.argsort(order)[list(target)])
-    return view.reshape((n * oh * ow, -1) if rows else (-1, n * oh * ow))
+def _columns(windows: np.ndarray) -> np.ndarray:
+    """The (C*k*k, N*L) column buffer of `windows`, L = out_h*out_w, gathered
+    in one copy."""
+    _, c, _, _, k, _ = windows.shape
+    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
 
 
-def _conv(windows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The convolution of the windows' images by (O, C, k, k) weights, as
-    einsum("of,nfl->nol", weights, cols) over their column buffer computes
-    it: a (N*L, O) matmul seen as (N, O, out_h, out_w).  A contraction of
-    length 1 it multiplies out into C-ordered output, whose -0 products a
-    GEMM would sum to +0 and whose order later reductions follow."""
-    n, _, oh, ow = windows.shape[:4]
-    o = weights.shape[0]
-    w_mat = weights.reshape(o, -1)
-    rows = _gather(windows, rows=True)
-    if rows.shape[1] == 1:
-        return (rows.reshape(n, 1, oh * ow) * w_mat.reshape(1, o, 1)).reshape(n, o, oh, ow)
-    return (rows @ w_mat.T).reshape(n, oh * ow, o).transpose(0, 2, 1).reshape(n, o, oh, ow)
+def _conv(cols: np.ndarray, weights: np.ndarray, out_shape) -> np.ndarray:
+    """The convolution of a column buffer by (O, C, k, k) weights: the (O, N*L)
+    product `weights @ cols` as a C-contiguous (N, O, out_h, out_w) array."""
+    n, o, oh, ow = out_shape
+    y = weights.reshape(o, -1) @ cols
+    return np.ascontiguousarray(y.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
 
 
-def _conv_weight_grad(windows: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """The (O, C, k, k) gradient of `_conv`'s weights for its (N, O, out_h,
-    out_w) output gradient `dy`, as einsum("nol,nfl->of", dy, cols) over the
-    windows' column buffer computes it: a (F, O) matmul seen as (O, F).  (For
-    N*L = 1 einsum multiplies instead; the two differ only in the sign of a
-    zero, which adding the result to a weight gradient erases.)"""
-    n, c, _, _, k, _ = windows.shape
-    o = dy.shape[1]
-    dy_rows = dy.reshape(n, o, -1).transpose(0, 2, 1).reshape(-1, o)
-    return (_gather(windows, rows=False) @ dy_rows).T.reshape(o, c, k, k)
+def _conv_weight_grad(cols: np.ndarray, dy: np.ndarray, weight_shape) -> np.ndarray:
+    """The gradient of `_conv`'s weights for its (N, O, out_h, out_w) output
+    gradient `dy`: the (O, C*k*k) product `dy_mat @ cols.T`."""
+    dy_mat = dy.transpose(1, 0, 2, 3).reshape(dy.shape[1], -1)
+    return (dy_mat @ cols.T).reshape(weight_shape)
 
 
 def _conv_transpose(x: np.ndarray, weights: np.ndarray, out_shape, kernel: int, stride: int,
-                    padding: int, bias: np.ndarray | None, permute: bool) -> np.ndarray:
+                    padding: int, bias: np.ndarray | None) -> np.ndarray:
     """The transpose of `_conv` by (I, O, k, k) weights: (N, I, h, w) input,
     whose h x w are the out_h x out_w of a conv of `out_shape` (N, O, H, W),
     multiplied into columns and scattered onto a C-contiguous output, plus
     `bias` (O,) when given.
 
-    It runs a block of images at a time: einsum("if,nil->nlf") gives the
-    block's (N, L, F) columns, tap-major (k, k, O) and C-contiguous with
-    `permute`, which multiplies by a (I, k, k, O) copy of the weights, or
-    else in (O, k, k) order and viewed tap-major.  The taps are then added
-    into a channels-last canvas, one tap at a time; C-contiguous columns give
-    each add whole contiguous channel rows.  Every pixel sums its taps in the
-    same order as an NCHW canvas would, so the result is bit-identical to
-    one.  Blocks hold about COL2IM_BLOCK_BYTES of columns, so no call holds
-    the whole batch's, and every block holds two images or more (a lone last
-    image joins the block before): each block's GEMM then has two rows or
-    more, and gives the bits of the whole-batch GEMM, where a one-row product
-    would run as a BLAS GEMV and sum differently.  Callers keep their weight
-    and bias gradients as whole-batch sums, since blocking those would
-    reorder the sums.  The output is C-contiguous NCHW because a
-    channels-last view would reorder later reductions (bias gradients, FID
-    moments) and change their bits.
+    It runs a block of images at a time, about COL2IM_BLOCK_BYTES of columns,
+    so no call holds the whole batch's.  A block's (N*L, I) input rows times a
+    (I, k, k, O) copy of the weights give its columns tap-major, and the taps
+    are added into a channels-last canvas one at a time, each add over whole
+    contiguous channel rows.
     """
     n, c, h, w = out_shape
     oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
-    x_mat = x.reshape(n, x.shape[1], oh * ow)
-    w_mat = (weights.transpose(0, 2, 3, 1) if permute else weights).reshape(weights.shape[0], -1)
+    i_c = weights.shape[0]
+    w_mat = weights.transpose(0, 2, 3, 1).reshape(i_c, -1)
     per_image = oh * ow * kernel * kernel * c * 4  # float32 bytes
-    bounds = list(range(0, n, max(2, COL2IM_BLOCK_BYTES // per_image))) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    for a, b in zip(bounds, bounds[1:]):
-        cols = np.einsum("if,nil->nlf", w_mat, x_mat[a:b], optimize=True)
-        if permute:
-            cols = cols.reshape(b - a, oh, ow, kernel, kernel, c)
-        else:
-            cols = cols.reshape(b - a, oh, ow, c, kernel, kernel).transpose(0, 1, 2, 4, 5, 3)
-        if a == 0:
-            out = np.empty(out_shape, dtype=cols.dtype)
-            canvas = np.empty((max(np.diff(bounds)), h + 2 * padding, w + 2 * padding, c),
-                              dtype=cols.dtype)
+    block = max(1, COL2IM_BLOCK_BYTES // per_image)
+    out = np.empty(out_shape, dtype=np.result_type(x, weights))
+    canvas = np.empty((min(block, n), h + 2 * padding, w + 2 * padding, c), dtype=out.dtype)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        rows = x[a:b].reshape(b - a, i_c, oh * ow).transpose(0, 2, 1).reshape(-1, i_c)
+        cols = (rows @ w_mat).reshape(b - a, oh, ow, kernel, kernel, c)
         xp = canvas[:b - a]
         xp.fill(0)
         for i in range(kernel):
@@ -293,20 +236,20 @@ class ConvLayer:
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         windows = _windows(x, self.kernel, self.stride, self.padding)
-        y = _conv(windows, self.entry.weights) + self.entry.bias[None, :, None, None]
+        weights = self.entry.weights
+        y = _conv(_columns(windows), weights, (x.shape[0], weights.shape[0]) + windows.shape[2:4])
+        y += self.entry.bias[None, :, None, None]
         if train:
             self._windows = windows
             self._x_shape = x.shape
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.grad_w += _conv_weight_grad(self._windows, dy)
+        self.grad_w += _conv_weight_grad(_columns(self._windows), dy, self.grad_w.shape)
         self._windows = None
         self.grad_b += dy.sum(axis=(0, 2, 3))
-        # unpermuted weights: this GEMM has N = 9*C columns, and OpenBLAS sums
-        # the N-tail micro-tiles differently, so permuting them would change bits
         return _conv_transpose(dy, self.entry.weights, self._x_shape, self.kernel,
-                               self.stride, self.padding, None, permute=False)
+                               self.stride, self.padding, None)
 
 
 class ConvTransposeLayer:
@@ -330,23 +273,19 @@ class ConvTransposeLayer:
         out_shape = (n, self.entry.weights.shape[1],
                      (h - 1) * self.stride - 2 * self.padding + self.kernel,
                      (w - 1) * self.stride - 2 * self.padding + self.kernel)
-        # tap-major columns from permuted weights; but a one-row product runs
-        # as a BLAS GEMV, which splits its columns between threads by
-        # position: permuting them would change bits
         y = _conv_transpose(x, self.entry.weights, out_shape, self.kernel, self.stride,
-                            self.padding, self.entry.bias, permute=n * h * w > 1)
+                            self.padding, self.entry.bias)
         if train:
             self._x = x
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        # one column buffer at a time: the weight gradient's is freed before
-        # the input gradient's is gathered
-        windows = _windows(dy, self.kernel, self.stride, self.padding)
-        self.grad_w += _conv_weight_grad(windows, self._x)
-        self._x = None
+        # one column buffer feeds both products
+        cols = _columns(_windows(dy, self.kernel, self.stride, self.padding))
+        self.grad_w += _conv_weight_grad(cols, self._x, self.grad_w.shape)
+        x_shape, self._x = self._x.shape, None
         self.grad_b += dy.sum(axis=(0, 2, 3))
-        return _conv(windows, self.entry.weights)
+        return _conv(cols, self.entry.weights, x_shape)
 
 
 class ActivationOp:

@@ -192,10 +192,11 @@ def validate_config(config: RunConfig) -> None:
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, overridden by a key=value file, overridden by `overrides`:
-    flags, or a record such as dataclasses.asdict after a JSON round trip
-    (lists become tuples)."""
+    """Defaults, overridden by a key=value file, in which each key may appear
+    once, overridden by `overrides`: flags, or a record such as
+    dataclasses.asdict after a JSON round trip (lists become tuples)."""
     values: dict = {}
+    set_on: dict = {}  # key -> the file line that set it
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -213,6 +214,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
             raw = raw.strip()
             if key not in _DEFAULTS:
                 raise ConfigError(f"unknown key {key!r}")
+            if key in set_on:
+                raise ConfigError(f"{path}:{line_no}: {key} already set on line {set_on[key]}")
+            set_on[key] = line_no
             try:
                 values[key] = _parse_value(key, raw)
             except ValueError as exc:

@@ -53,6 +53,12 @@ class TestConfigLoading:
         assert cfg.generations == 7
         assert cfg.seed == 9
 
+    def test_key_set_twice_named_with_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 3\n# comment\ngenerations = 7\nseed = 4\n")
+        with pytest.raises(E.ConfigError, match=r"run\.cfg:4: seed already set on line 1"):
+            E.load_config(str(path))
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("momentum = 0.9\n")
