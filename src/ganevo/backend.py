@@ -11,9 +11,11 @@ gradient), `_conv_weight_grad` (both weight gradients) and `_conv_transpose`
 (the transpose-conv forward and the conv input gradient).  Each is one GEMM
 over one column buffer, and the two that make images, `_conv` and
 `_conv_transpose`, return them C-contiguous NCHW.  `_conv` and
-`_conv_weight_grad` share the (C*k*k, N*L) columns `_columns` gathers from a
-strided view of k x k image windows; the conv caches its windows, not its
-columns, and the transpose-conv backward gathers once for both its products.
+`_conv_weight_grad` share the (C*k*k, N*L) columns `_columns` gathers: each
+tap's in-range window is copied straight from the unpadded image, and only
+the entries over the padding are zeroed, so no padded copy is made.  The conv
+caches its input, not its columns, and the transpose-conv backward gathers
+once for both its products.
 `_conv_transpose` splits its GEMM and the scatter of its columns back onto an
 image into blocks of images only to bound memory: no call holds the whole
 batch's column buffer.  Activations avoid boolean-mask indexing, and Adam
@@ -50,6 +52,10 @@ PROB_CLIP = 1e-7
 # About one core's L2: `_conv_transpose` multiplies and scatters this many
 # bytes of float32 columns per block of images.
 COL2IM_BLOCK_BYTES = 2 << 20
+
+# `_columns` copies every tap of a block of input channels of about this many
+# bytes before the next block, so the taps re-read the block from cache.
+GATHER_BLOCK_BYTES = 1 << 19
 
 ADAM_BETA1 = 0.5
 ADAM_BETA2 = 0.999
@@ -123,20 +129,43 @@ def adam_step(store: ParamStore, learning_rate: float) -> None:
 
 # -- convolution plumbing -------------------------------------------------
 
-def _windows(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """(N, C, H, W) -> a strided (N, C, out_h, out_w, k, k) view of its
-    k x k windows; only a padded input is copied."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    return windows[:, :, ::stride, ::stride]
+def _tap_slices(size: int, out: int, kernel: int, stride: int, padding: int):
+    """Along one axis, per tap offset i: (i, the output positions lo:hi whose
+    input index position * stride + i - padding lies in 0:size, the input
+    indices they read)."""
+    for i in range(kernel):
+        lo = min(out, max(0, -((i - padding) // stride)))
+        hi = max(lo, min(out, (size - 1 + padding - i) // stride + 1))
+        first = lo * stride + i - padding
+        yield i, slice(lo, hi), slice(first, first + stride * (hi - lo), stride)
 
 
-def _columns(windows: np.ndarray) -> np.ndarray:
-    """The (C*k*k, N*L) column buffer of `windows`, L = out_h*out_w, gathered
-    in one copy."""
-    _, c, _, _, k, _ = windows.shape
-    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, -1)
+def _columns(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """The (C*k*k, N*L) column buffer of the k x k windows of (N, C, H, W) `x`
+    zero-padded by `padding`, L = out_h*out_w.
+
+    Each tap's in-range window is copied straight from `x`, a block of about
+    GATHER_BLOCK_BYTES of input channels at a time so that every tap reads
+    the block from cache, and only the entries no tap writes, those over the
+    padding, are zeroed."""
+    n, c, h, w = x.shape
+    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    cols = np.empty((c, kernel, kernel, n, oh, ow), dtype=x.dtype)
+    taps = [(i, j, out_r, out_c, in_r, in_c)
+            for i, out_r, in_r in _tap_slices(h, oh, kernel, stride, padding)
+            for j, out_c, in_c in _tap_slices(w, ow, kernel, stride, padding)]
+    for i, j, out_r, out_c, _, _ in taps:
+        tap = cols[:, i, j]
+        tap[:, :, :out_r.start] = 0
+        tap[:, :, out_r.stop:] = 0
+        tap[:, :, out_r, :out_c.start] = 0
+        tap[:, :, out_r, out_c.stop:] = 0
+    xt = x.transpose(1, 0, 2, 3)
+    block = max(1, GATHER_BLOCK_BYTES // (n * h * w * x.itemsize))
+    for a in range(0, c, block):
+        for i, j, out_r, out_c, in_r, in_c in taps:
+            cols[a:a + block, i, j, :, out_r, out_c] = xt[a:a + block, :, in_r, in_c]
+    return cols.reshape(c * kernel * kernel, -1)
 
 
 def _conv(cols: np.ndarray, weights: np.ndarray, out_shape) -> np.ndarray:
@@ -231,24 +260,25 @@ class ConvLayer:
         self.stride = stride
         self.padding = padding
         self.grad_w, self.grad_b = entry.grad_w, entry.grad_b
-        self._windows = None
-        self._x_shape = None
+        self._x = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        windows = _windows(x, self.kernel, self.stride, self.padding)
+        n, _, h, w = x.shape
         weights = self.entry.weights
-        y = _conv(_columns(windows), weights, (x.shape[0], weights.shape[0]) + windows.shape[2:4])
+        out_shape = (n, weights.shape[0]) + _conv_out_hw(h, w, self.kernel, self.stride,
+                                                          self.padding)
+        y = _conv(_columns(x, self.kernel, self.stride, self.padding), weights, out_shape)
         y += self.entry.bias[None, :, None, None]
         if train:
-            self._windows = windows
-            self._x_shape = x.shape
+            self._x = x
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.grad_w += _conv_weight_grad(_columns(self._windows), dy, self.grad_w.shape)
-        self._windows = None
+        self.grad_w += _conv_weight_grad(
+            _columns(self._x, self.kernel, self.stride, self.padding), dy, self.grad_w.shape)
+        x_shape, self._x = self._x.shape, None
         self.grad_b += dy.sum(axis=(0, 2, 3))
-        return _conv_transpose(dy, self.entry.weights, self._x_shape, self.kernel,
+        return _conv_transpose(dy, self.entry.weights, x_shape, self.kernel,
                                self.stride, self.padding, None)
 
 
@@ -281,7 +311,7 @@ class ConvTransposeLayer:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         # one column buffer feeds both products
-        cols = _columns(_windows(dy, self.kernel, self.stride, self.padding))
+        cols = _columns(dy, self.kernel, self.stride, self.padding)
         self.grad_w += _conv_weight_grad(cols, self._x, self.grad_w.shape)
         x_shape, self._x = self._x.shape, None
         self.grad_b += dy.sum(axis=(0, 2, 3))
@@ -304,7 +334,9 @@ class ActivationOp:
             np.maximum(y, x, out=y)
             cache = x
         elif self.name == "elu":
-            y = np.expm1(x)
+            # zero first: a -0.0 input stays -0.0, and no positive input
+            # overflows expm1
+            y = np.expm1(np.minimum(0, x))
             y *= ELU_ALPHA
             y = np.where(x > 0, x, y)
             cache = (x, y)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -680,6 +681,29 @@ class TestConvLayout:
                 if name in pairs:
                     assert pairs[name][0].flags.c_contiguous, what + (name,)
 
+    @pytest.mark.parametrize("hw", SPATIAL)
+    @pytest.mark.parametrize("setting", GATHER_SETTINGS,
+                             ids=lambda s: f"{s[0].__name__}-k{s[1]}s{s[2]}p{s[3]}")
+    def test_columns_same_bytes_as_im2col(self, setting, hw):
+        """`_columns` gathers from the unpadded input the bytes of the padded
+        im2col buffer, in (C*k*k, N*L) order: one image, one channel and
+        several channel blocks among the cases, -0.0 among the values."""
+        layer_cls, kernel, stride, padding = setting
+        if layer_cls is B.ConvTransposeLayer:  # it gathers its output gradient
+            hw = (stride * hw[0], stride * hw[1])
+        rng = np.random.default_rng(hw[0] * 100 + hw[1] + 10 * kernel + stride)
+        blocks = 2 * B.GATHER_BLOCK_BYTES // (64 * hw[0] * hw[1] * 4) + 3
+        cases = [(1, 1), (1, rng.integers(2, 40)), (rng.integers(2, 71), 1),
+                 (rng.integers(2, 71), rng.integers(2, 40)), (64, min(blocks, 300))]
+        for n, c in cases:
+            x = rng.standard_normal((n, c) + hw).astype(np.float32)
+            x.reshape(-1)[::7] = -0.0
+            expected = im2col(x, kernel, stride, padding).transpose(1, 0, 2).reshape(
+                c * kernel * kernel, -1)
+            got = B._columns(x, kernel, stride, padding)
+            assert got.shape == expected.shape and got.flags.c_contiguous, (n, c)
+            assert got.tobytes() == expected.tobytes(), (n, c)
+
     def test_transpose_conv_backward_holds_one_column_buffer(self):
         # mnist-train's second transpose conv: one (F, N*L) column buffer
         # feeds both the weight gradient and the input gradient
@@ -757,6 +781,16 @@ class TestActivationBytes:
         for got, expected in pairs:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    def test_elu_forward_raises_no_warning(self):
+        """Large positive inputs do not overflow expm1, and -0.0 stays -0.0."""
+        x = np.array([100, 1e30, -0.0], np.float32)
+        with np.errstate(over="ignore"):
+            expected = np.where(x > 0, x, B.ELU_ALPHA * np.expm1(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = B.ActivationOp("elu").forward(x, train=False)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("shape", [(64,), (64, 128), (64, 64, 28, 28)])
     def test_leaky_relu_backward_same_bytes_as_cast_mask(self, shape):

@@ -4,7 +4,10 @@ import functools
 import json
 import operator
 import os
+import platform
+import resource
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -801,3 +804,35 @@ class TestCli:
         source = E.make_data_source(cfg, np.random.default_rng(0))
         assert source.data_shape == (1, 28, 28)
         assert source.next_batch(3).shape == (3, 1, 28, 28)
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class TestKeepFreedHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_freed_arrays_stay_mapped(self):
+        assert E.keep_freed_heap() is True
+        np.ones(16 << 20, dtype=np.float32)  # 64 MB: the first one faults its pages in
+        before = minor_faults()
+        for _ in range(10):
+            np.ones(16 << 20, dtype=np.float32)
+        assert minor_faults() - before < 1000
+
+    @pytest.mark.parametrize("libc", [
+        types.SimpleNamespace(),  # no mallopt
+        types.SimpleNamespace(mallopt=lambda param, value: 0),  # refuses
+    ], ids=["missing", "refused"])
+    def test_without_mallopt_returns_false(self, monkeypatch, libc):
+        monkeypatch.setattr(E.ctypes, "CDLL", lambda name: libc)
+        assert E.keep_freed_heap() is False
+
+    def test_resume_calls_it_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(E, "keep_freed_heap", lambda: calls.append(1) or True)
+        E.run_evolution(E.load_config(overrides=dict(
+            dataset="ring2d", ring_modes=4, generations=2, generator_population=2,
+            discriminator_population=2, batches_per_pair=1, batch_size=8, fid_samples=16,
+            rmse_samples=16, noise_dim=4, feature_range=(4, 8), out_dir=str(tmp_path))))
+        assert calls == [1]
