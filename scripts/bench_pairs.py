@@ -19,8 +19,10 @@ tenths of the pairs and the medians differ by more than the parent's
 interquartile range, "unresolved" when that range is wider than the bound and
 not every change run beats every parent run, else "within bound".  It also
 compares, seed by seed, the metrics lines the two trees' bench runs recorded
-under .bench_work/ref.  A workload's results replace that workload's entry of
-the output file; everything else in the file is kept.
+under .bench_work/ref, and names each key=value field that differs there with
+its largest relative difference |x - y| / max(|x|, |y|).  A workload's
+results replace that workload's entry of the output file; everything else in
+the file is kept.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import resource
 import statistics
 import subprocess
@@ -104,13 +107,40 @@ def ref_lines(side: str, tree: Path, workload: str, seed: int) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines() if path.exists() else []
 
 
+def relative_difference(a: str, b: str) -> float:
+    """|x - y| / max(|x|, |y|) of two numbers written as text; inf when one
+    is not a number or only one is infinite."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if x == y:
+        return 0.0
+    diff = abs(x - y) / max(abs(x), abs(y))
+    return diff if math.isfinite(diff) else math.inf
+
+
+def differing_fields(a: list[str], b: list[str]) -> dict[str, float]:
+    """For each key=value field whose text differs between paired metrics
+    lines, the largest relative difference over those lines."""
+    worst: dict[str, float] = {}
+    for line_a, line_b in zip(a, b):
+        fields_b = dict(item.partition("=")[::2] for item in line_b.split())
+        for key, value in (item.partition("=")[::2] for item in line_a.split()):
+            if fields_b.get(key) != value:
+                diff = relative_difference(value, fields_b.get(key, ""))
+                worst[key] = max(worst.get(key, 0.0), diff)
+    return worst
+
+
 def compare_refs(trees: dict, workload: str, seeds: list[int]) -> dict:
     out = {}
     for seed in seeds:
         a, b = (ref_lines(side, trees[side], workload, seed) for side in SIDES)
         common = min(len(a), len(b))
         out[str(seed)] = {"lines_compared": common,
-                          "equal": common > 0 and a[:common] == b[:common]}
+                          "equal": common > 0 and a[:common] == b[:common],
+                          "differing_fields": differing_fields(a[:common], b[:common])}
     return out
 
 

@@ -4,13 +4,16 @@ Discriminator fitness is the mean adversarial loss over its training bouts.
 Generator fitness is the Frechet distance between Gaussians fitted to embedded
 real and generated samples; the embedding is pluggable (identity flatten or a
 fixed random projection) since no pretrained feature extractor is bundled.
+Each Gaussian keeps its covariance S as a factor R with R.T @ R == S, at most
+min(n, d) rows for n samples of d features, and the Frechet trace term
+Tr((S_a S_b)^{1/2}) is the nuclear norm of R_a @ R_b.T, so no d x d array is
+formed when n <= d.
 Also provides the RMSE metric and a classifier-based diversity score.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,47 +57,62 @@ def random_projection_embedding(out_dim: int = 64, matrix_seed: int = 7) -> Embe
 EMBEDDINGS = {"identity": identity_embedding, "randproj": random_projection_embedding}
 
 
-@dataclass(frozen=True)
 class GaussianSummary:
-    mean: np.ndarray
-    cov: np.ndarray
+    """A Gaussian's mean and a factor `root` of its covariance: a k x d
+    matrix with root.T @ root == cov.  Give either the covariance, whose
+    symmetric square root becomes the root, or the root itself."""
+
+    def __init__(self, mean: np.ndarray, cov: np.ndarray | None = None, *,
+                 root: np.ndarray | None = None):
+        if (cov is None) == (root is None):
+            raise TypeError("GaussianSummary takes exactly one of cov and root")
+        if root is None:
+            eigvals, vecs = np.linalg.eigh(cov)
+            # negative eigenvalues are numerical noise on PSD inputs
+            root = (vecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ vecs.T
+        self.mean = mean
+        self.root = root
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The d x d covariance, for inspection; `fid` never forms it."""
+        return self.root.T @ self.root
 
 
 def estimate_gaussian(features: np.ndarray) -> GaussianSummary:
-    """Sample mean and unbiased covariance (divisor n-1), symmetrized."""
+    """Sample mean and unbiased covariance (divisor n-1) of n rows of d
+    features, kept as a root: the centered rows / sqrt(n-1) when n <= d,
+    else their QR factor R (d x d), so the root has min(n, d) rows."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 2:
         raise ValueError("need at least 2 feature rows to estimate a Gaussian")
+    n, d = features.shape
     mean = features.mean(axis=0)
     centered = features - mean
-    cov = centered.T @ centered / (features.shape[0] - 1)
-    cov = (cov + cov.T) / 2.0
-    return GaussianSummary(mean=mean, cov=cov)
+    root = centered if n <= d else np.linalg.qr(centered, mode="r")
+    return GaussianSummary(mean, root=root / math.sqrt(n - 1))
 
 
 def frechet_distance(a: GaussianSummary, b: GaussianSummary) -> float:
     """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^{1/2}).
 
-    The square-root trace comes from the symmetric eigendecomposition of
-    S_a^{1/2} S_b S_a^{1/2}; tiny negative eigenvalues are clamped to zero and
-    the result is clamped to be non-negative.
+    With S = R.T @ R for each side's root R, Tr(S) is the sum of R's squared
+    entries, and Tr((S_a S_b)^{1/2}) is the nuclear norm (the sum of the
+    singular values) of R_a @ R_b.T: the nonzero eigenvalues of S_a S_b are
+    those of (R_a R_b.T)(R_a R_b.T).T.  That product is k_a x k_b, so two
+    Gaussians estimated from n <= d rows each cost one n x n SVD and no
+    d x d array.  The result is clamped to be non-negative.
     """
-    if a.mean.shape != b.mean.shape or a.cov.shape != b.cov.shape:
+    if a.mean.shape != b.mean.shape or a.root.shape[1:] != b.root.shape[1:]:
         raise ValueError("Gaussian summaries have mismatched dimensions")
-    parts = (a.mean, a.cov, b.mean, b.cov)
+    parts = (a.mean, a.root, b.mean, b.root)
     if not all(np.isfinite(p).all() for p in parts):
         raise ValueError("non-finite values in Gaussian summaries")
     diff = a.mean - b.mean
-    mean_term = float(diff @ diff)
-    eigvals_a, vecs_a = np.linalg.eigh(a.cov)
-    sqrt_a = (vecs_a * np.sqrt(np.clip(eigvals_a, 0.0, None))) @ vecs_a.T
-    inner = sqrt_a @ b.cov @ sqrt_a
-    inner = (inner + inner.T) / 2.0
-    eigvals = np.linalg.eigvalsh(inner)
-    # negative eigenvalues are numerical noise on PSD inputs
-    trace_sqrt = float(np.sqrt(np.clip(eigvals, 0.0, None)).sum())
-    value = mean_term + float(np.trace(a.cov) + np.trace(b.cov)) - 2.0 * trace_sqrt
-    return max(value, 0.0)
+    trace_sqrt = np.linalg.svd(a.root @ b.root.T, compute_uv=False).sum()
+    value = (diff @ diff + np.vdot(a.root, a.root) + np.vdot(b.root, b.root)
+             - 2.0 * trace_sqrt)
+    return max(float(value), 0.0)
 
 
 def fid(embedding: Embedding, real_samples: np.ndarray, fake_samples: np.ndarray,

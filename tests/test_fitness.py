@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,27 @@ class TestFrechetDistance:
         with pytest.raises(ValueError):
             F.frechet_distance(bad, summary([0.0], [[1.0]]))
 
+    def test_summary_takes_exactly_one_of_cov_and_root(self):
+        with pytest.raises(TypeError):
+            F.GaussianSummary(np.zeros(2))
+        with pytest.raises(TypeError):
+            F.GaussianSummary(np.zeros(2), np.eye(2), root=np.eye(2))
+
+    def test_rows_root_and_cov_root_agree_on_full_rank_data(self, rng):
+        rows_a = rng.standard_normal((500, 6))
+        rows_b = rng.standard_normal((500, 6)) @ rng.standard_normal((6, 6)) + 0.3
+        from_rows = [F.estimate_gaussian(rows) for rows in (rows_a, rows_b)]
+        from_cov = [F.GaussianSummary(g.mean, np.cov(rows, rowvar=False))
+                    for g, rows in zip(from_rows, (rows_a, rows_b))]
+        want = F.frechet_distance(*from_cov)
+        assert F.frechet_distance(*from_rows) == pytest.approx(want, rel=1e-10)
+
+    def test_symmetric_with_roots_of_different_heights(self, rng):
+        a = F.estimate_gaussian(rng.standard_normal((64, 784)))
+        b = F.estimate_gaussian(rng.random((256, 784)))
+        assert a.root.shape == (64, 784) and b.root.shape == (256, 784)
+        assert F.frechet_distance(a, b) == pytest.approx(F.frechet_distance(b, a))
+
 
 class TestFid:
     def test_exact_copies_give_zero(self, rng):
@@ -124,6 +147,26 @@ class TestFid:
         fake = rng.standard_normal((4000, 4)) + 1.0
         value = F.fid(F.identity_embedding(), real, fake, n=4000)
         assert value == pytest.approx(4.0, rel=0.10)
+
+    @pytest.mark.parametrize("n,d", [(64, 784), (256, 784), (1000, 784), (1000, 2)])
+    def test_shifted_copy_gives_squared_shift(self, n, d):
+        rng = np.random.default_rng([n, d])
+        x = rng.standard_normal((n, d))
+        s = rng.standard_normal(d)
+        value = F.fid(F.identity_embedding(), x, x + s, n)
+        assert abs(value - s @ s) <= 1e-10 * (1.0 + s @ s)
+
+    def test_wide_samples_build_no_feature_square(self, rng):
+        real = rng.standard_normal((64, 784))
+        fake = rng.standard_normal((64, 784))
+        tracemalloc.start()
+        try:
+            F.fid(F.identity_embedding(), real, fake, n=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 784 x 784 float64 array alone is 4.7 MiB
+        assert peak < 4 * 2**20
 
     def test_insufficient_samples(self, rng):
         samples = rng.standard_normal((10, 3))
