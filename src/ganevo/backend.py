@@ -8,18 +8,20 @@ and parameter transfer between generations.
 Three routines serve both convolution layers, since a transpose conv is a
 conv run backwards: `_conv` (the conv forward and the transpose-conv input
 gradient), `_conv_weight_grad` (both weight gradients) and `_conv_transpose`
-(the transpose-conv forward and the conv input gradient).  Each is one GEMM
-over one column buffer, and the two that make images, `_conv` and
-`_conv_transpose`, return them C-contiguous NCHW.  `_conv` and
-`_conv_weight_grad` share the (C*k*k, N*L) columns `_columns` gathers: each
-tap's in-range window is copied straight from the unpadded image, and only
-the entries over the padding are zeroed, so no padded copy is made.  The conv
-caches its input, not its columns, and the transpose-conv backward gathers
-once for both its products.
-`_conv_transpose` splits its GEMM and the scatter of its columns back onto an
-image into blocks of images only to bound memory: no call holds the whole
-batch's column buffer.  Activations avoid boolean-mask indexing, and Adam
-applies one bias-corrected update per run of entries that share a step count.
+(the transpose-conv forward and the conv input gradient).  Each is a GEMM,
+and the two that make images, `_conv` and `_conv_transpose`, return them
+C-contiguous NCHW.  `_conv` and `_conv_weight_grad` share the (C*k*k, N*L)
+columns `_columns` gathers: each tap's in-range window is copied straight
+from the unpadded image, and only the entries over the padding are zeroed,
+so no padded copy is made.  The conv caches its input, not its columns, and
+the transpose-conv backward gathers once for both its products.
+`_conv_transpose` multiplies the weights as stored and adds each tap's
+products either as one flat, shifted add into a plane per stride phase of
+the output, or, on small inputs, into a channels-last canvas; the two give
+the same bytes, and both work a block of images at a time, so no call holds
+a whole batch's products.  Activations avoid boolean-mask indexing, and
+Adam applies one bias-corrected update per run of entries that share a step
+count.
 
 An op keeps what its backward reads from `forward(train=True)` until that
 backward runs, and then drops it, so a network holds no activations once its
@@ -49,9 +51,19 @@ ELU_ALPHA = 1.0
 # masked where the clip binds, consistent with the clamped-log losses.
 PROB_CLIP = 1e-7
 
-# About one core's L2: `_conv_transpose` multiplies and scatters this many
-# bytes of float32 columns per block of images.
-COL2IM_BLOCK_BYTES = 2 << 20
+# `_conv_transpose` works a block of images at a time: about this many bytes
+# of tap products and interleaved rows when it adds phase planes, and of
+# products when it scatters them.  The scatter keeps the blocks it always
+# had, since how many rows one GEMM takes decides which OpenBLAS kernel runs
+# it (below).
+PLANE_BLOCK_BYTES = 4 << 20
+SCATTER_BLOCK_BYTES = 2 << 20
+
+# OpenBLAS runs a product of at most this many multiply-adds with its
+# small-matrix kernels, whose sums take another order than its blocked
+# kernels' and depend on the operands' layout; above it, a product's bits
+# do not depend on how its operands are laid out.
+SMALL_GEMM_MACS = 100 ** 3
 
 # `_columns` copies every tap of a block of input channels of about this many
 # bytes before the next block, so the taps re-read the block from cache.
@@ -187,38 +199,160 @@ def _conv_transpose(x: np.ndarray, weights: np.ndarray, out_shape, kernel: int, 
                     padding: int, bias: np.ndarray | None) -> np.ndarray:
     """The transpose of `_conv` by (I, O, k, k) weights: (N, I, h, w) input,
     whose h x w are the out_h x out_w of a conv of `out_shape` (N, O, H, W),
-    multiplied into columns and scattered onto a C-contiguous output, plus
+    multiplied into tap products and added onto a C-contiguous output, plus
     `bias` (O,) when given.
 
-    It runs a block of images at a time, about COL2IM_BLOCK_BYTES of columns,
-    so no call holds the whole batch's.  A block's (N*L, I) input rows times a
-    (I, k, k, O) copy of the weights give its columns tap-major, and the taps
-    are added into a channels-last canvas one at a time, each add over whole
-    contiguous channel rows.
+    It adds phase planes or scatters onto a channels-last canvas, as
+    `_adds_phase_planes` decides, and the two give the same bytes: both add
+    every output position's tap products in (i, j) order onto +0, then the
+    bias, a block of images at a time.
+    """
+    out = np.empty(out_shape, dtype=np.result_type(x, weights))
+    if _adds_phase_planes(weights.shape[0], out_shape, kernel, stride, padding):
+        _add_phase_planes(x, weights, out, kernel, stride, padding, bias)
+    else:
+        _scatter_channels_last(x, weights, out, kernel, stride, padding, bias)
+    return out
+
+
+def _block_images(out_shape, kernel: int, stride: int, padding: int, planes: bool) -> int:
+    """Images per block of `_conv_transpose`: about PLANE_BLOCK_BYTES of
+    float32 tap products and interleaved rows with phase planes, else about
+    SCATTER_BLOCK_BYTES of products."""
+    _, c, h, w = out_shape
+    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    if not planes:
+        return max(1, SCATTER_BLOCK_BYTES // (oh * ow * kernel * kernel * c * 4))
+    ph, pw = _plane_hw(h, w, kernel, stride, padding)
+    return max(1, PLANE_BLOCK_BYTES // ((kernel * kernel + stride) * ph * pw * c * 4))
+
+
+def _plane_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
+    """Rows and columns of a phase plane: the input's, plus q = (k - 1) // s
+    for the taps' shifts, and enough to cover the cropped output."""
+    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    q = (kernel - 1) // stride
+    return max(oh + q, -(-(padding + h) // stride)), max(ow + q, -(-(padding + w) // stride))
+
+
+def _adds_phase_planes(in_c: int, out_shape, kernel: int, stride: int, padding: int) -> bool:
+    """Whether `_conv_transpose` adds phase planes rather than scattering.
+
+    The planes multiply the weights the other way round, (O*k*k, I) by
+    (I, positions), which gives the scatter's bits only where one input
+    channel makes the product numpy's own loop, or where every GEMM of
+    either formulation's smallest block exceeds SMALL_GEMM_MACS.  Within
+    that, the thresholds keep whichever was faster over a grid of shapes at
+    batch 64 on a 2-core host (`BENCH_28.json`): the planes' GEMM wants 16
+    or more rows; their last pass copies one output row at a time, which
+    costs more than they save on inputs narrower than 4, or 14 when each
+    phase takes one tap (q = 0); and the q zero columns padded onto each
+    input row add q * in_c / ow multiply-adds per tap product, which costs
+    more than they save beyond 64.
     """
     n, c, h, w = out_shape
     oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    q = (kernel - 1) // stride
+    if not (kernel >= stride and c * kernel * kernel >= 16 and ow >= (4 if q else 14)
+            and q * in_c <= 64 * ow):
+        return False
+    fewest = min(n - (n - 1) // block * block
+                 for block in (_block_images(out_shape, kernel, stride, padding, planes)
+                               for planes in (False, True)))
+    return in_c == 1 or fewest * oh * ow * kernel * kernel * c * in_c > SMALL_GEMM_MACS
+
+
+def _store(dst: np.ndarray, image: np.ndarray, bias: np.ndarray | None) -> None:
+    if bias is None:
+        dst[...] = image
+    else:
+        np.add(image, bias[:, None, None], out=dst)
+
+
+def _add_phase_planes(x, weights, out, kernel, stride, padding, bias) -> None:
+    """`_conv_transpose` by phase planes; needs kernel >= stride.
+
+    Padded-image row R = s*Y + r takes taps i = r, r + s, ..., so each
+    (R mod s, C mod s) phase is a plane of (Y, X) positions, and tap (i, j)
+    lands on its plane shifted by (i // s, j // s).  A block's images are
+    laid out row by row, (Y, image, X), each input row padded by
+    q = (k - 1) // s zero columns: one GEMM of the (O*k*k, I) weights view
+    gives every tap's products per channel as one contiguous run, and each
+    tap is one flat, shifted add of that run into its plane.  A phase's
+    first tap, (r, c), is its plane as the GEMM left it: a BLAS product is
+    never -0, so that equals +0 plus it.  The zero columns' products are
+    +-0 and land on partial sums that are never -0, or on cropped columns,
+    so for finite weights no byte moves.  One last pass per row phase
+    interleaves the column phases, crops and adds the bias.
+    """
+    n, c, h, w = out.shape
     i_c = weights.shape[0]
-    w_mat = weights.transpose(0, 2, 3, 1).reshape(i_c, -1)
-    per_image = oh * ow * kernel * kernel * c * 4  # float32 bytes
-    block = max(1, COL2IM_BLOCK_BYTES // per_image)
-    out = np.empty(out_shape, dtype=np.result_type(x, weights))
-    canvas = np.empty((min(block, n), h + 2 * padding, w + 2 * padding, c), dtype=out.dtype)
+    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    ph, pw = _plane_hw(h, w, kernel, stride, padding)
+    k, s, p = kernel, stride, padding
+    w_t = weights.reshape(i_c, -1).T
+    block = _block_images(out.shape, k, s, p, planes=True)
+    prods = np.empty((c, k, k, ph * min(block, n) * pw), dtype=out.dtype)
+    rows = np.empty((c, prods.shape[-1] * s), dtype=out.dtype) if s > 1 else None
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        run = (b - a) * pw  # one plane row of every image in the block
+        size = ph * run
+        cols = np.zeros((i_c, oh, b - a, pw), dtype=x.dtype)
+        cols[..., :ow] = x[a:b].transpose(1, 2, 0, 3)
+        np.matmul(w_t, cols.reshape(i_c, -1), out=prods.reshape(c * k * k, -1)[:, :oh * run])
+        prods[:, :s, :s, oh * run:size] = 0  # plane rows below the first taps
+        for i in range(k):
+            for j in range(k):
+                if i >= s or j >= s:
+                    shift = (i // s) * run + j // s
+                    span = min(oh * run, size - shift)
+                    prods[:, i % s, j % s, shift:shift + span] += prods[:, i, j, :span]
+        for r in range(s):
+            if s == 1:
+                phase_rows = prods[:, 0, 0, :size]
+            else:
+                phase_rows = rows[:, :size * s]
+                for col_phase in range(s):
+                    phase_rows[:, col_phase::s] = prods[:, r, col_phase, :size]
+            image = phase_rows.reshape(c, ph, b - a, pw * s)[..., p:p + w].transpose(2, 0, 1, 3)
+            y0 = (r - p) % s  # the first output row in phase r
+            dst = out[a:b, :, y0::s]
+            _store(dst, image[:, :, (y0 + p) // s:][:, :, :dst.shape[2]], bias)
+
+
+def _scatter_channels_last(x, weights, out, kernel, stride, padding, bias) -> None:
+    """`_conv_transpose` by a channels-last scatter: a block's (N*L, I) input
+    rows times the (I, O*k*k) weights give its products position-major, and
+    the taps are added one at a time into a zeroed (N, H+2p, W+2p, O)
+    canvas, reading channel rows with a stride of k*k, before one cropping
+    copy into the output.  Where OpenBLAS's bits depend on the column order,
+    a GEMV (one 1 x 1 image) or a product of at most SMALL_GEMM_MACS, it
+    multiplies a tap-major (I, k*k*O) copy of the weights instead, as the
+    scatter always did; in the second case the copy costs less than the
+    product."""
+    n, c, h, w = out.shape
+    i_c = weights.shape[0]
+    oh, ow = _conv_out_hw(h, w, kernel, stride, padding)
+    k, s, p = kernel, stride, padding
+    w_mat, tap_major = weights.reshape(i_c, -1), None
+    block = _block_images(out.shape, k, s, p, planes=False)
+    canvas = np.empty((min(block, n), h + 2 * p, w + 2 * p, c), dtype=out.dtype)
     for a in range(0, n, block):
         b = min(a + block, n)
         rows = x[a:b].reshape(b - a, i_c, oh * ow).transpose(0, 2, 1).reshape(-1, i_c)
-        cols = (rows @ w_mat).reshape(b - a, oh, ow, kernel, kernel, c)
+        if len(rows) == 1 or len(rows) * w_mat.size <= SMALL_GEMM_MACS:
+            if tap_major is None:
+                tap_major = weights.transpose(0, 2, 3, 1).reshape(i_c, -1)
+            cols = (rows @ tap_major).reshape(b - a, oh, ow, k, k, c)
+        else:
+            cols = (rows @ w_mat).reshape(b - a, oh, ow, c, k, k).transpose(0, 1, 2, 4, 5, 3)
         xp = canvas[:b - a]
         xp.fill(0)
-        for i in range(kernel):
-            for j in range(kernel):
-                xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, :, i, j]
-        image = xp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
-        if bias is None:
-            out[a:b] = image
-        else:
-            np.add(image, bias[:, None, None], out=out[a:b])
-    return out
+        for i in range(k):
+            for j in range(k):
+                xp[:, i:i + s * oh:s, j:j + s * ow:s] += cols[:, :, :, i, j]
+        _store(out[a:b], xp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2), bias)
 
 
 def _conv_out_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import tracemalloc
 import warnings
 import zlib
@@ -521,10 +520,13 @@ def random_layer_case(rng, shape_w, shape_b, x_shape):
     return entry, rng.standard_normal(x_shape).astype(np.float32)
 
 
-def images_per_block(positions, row):
-    """Images in a full `_conv_transpose` block of `positions` column rows of
-    `row` float32 entries per image."""
-    return max(1, B.COL2IM_BLOCK_BYTES // (positions * row * 4))
+def images_per_block(in_c, out_chw, kernel, stride, padding, n=64):
+    """Images in a full `_conv_transpose` block from `in_c` channels to
+    float32 `out_chw` images, under the formulation it picks for a batch of
+    `n`."""
+    out_shape = (n,) + tuple(out_chw)
+    planes = B._adds_phase_planes(in_c, out_shape, kernel, stride, padding)
+    return B._block_images(out_shape, kernel, stride, padding, planes)
 
 
 def transpose_conv_outputs(hw):
@@ -544,12 +546,12 @@ def transpose_conv_outputs(hw):
         cases += [(n, rng.integers(33, 601), rng.integers(1, 301))
                   for n in (1, 1, 1, 1, rng.integers(2, 9), rng.integers(2, 9))]
     if hw[0] >= 7:  # three blocks, the last of two images
-        out_c = rng.integers(16, 65)
-        cases.append((2 * images_per_block(hw[0] * hw[1], 16 * out_c) + 2,
-                      rng.integers(1, 130), out_c))
+        out_c, in_c = rng.integers(16, 65), rng.integers(1, 130)
+        out_chw = (out_c, 2 * hw[0], 2 * hw[1])
+        cases.append((2 * images_per_block(in_c, out_chw, 4, 2, 1) + 2, in_c, out_c))
     if hw == (1, 1):  # three full blocks and one image
-        out_c = rng.integers(200, 301)
-        cases.append((3 * images_per_block(1, 16 * out_c) + 1, rng.integers(33, 601), out_c))
+        out_c, in_c = rng.integers(200, 301), rng.integers(33, 601)
+        cases.append((3 * images_per_block(in_c, (out_c, 2, 2), 4, 2, 1) + 1, in_c, out_c))
     for n, in_c, out_c in cases:
         entry, x = random_layer_case(rng, (in_c, out_c, 4, 4), (out_c,), (n, in_c) + hw)
         y = B.ConvTransposeLayer(entry, 4, 2, 1).forward(x, train=False)
@@ -630,12 +632,125 @@ def gathered_layer_outputs(case):
     return pairs
 
 
+def channels_last_reference(x, weights, out_shape, kernel, stride, padding, bias):
+    """`_conv_transpose` as it stood before the phase planes, for exact
+    comparison: per block of about 2 MiB of float32 columns (how many rows a
+    GEMM takes decides which OpenBLAS kernel runs it), the (N*L, I) input
+    rows times a tap-major (I, k*k*O) copy of the weights, the taps added in
+    (i, j) order into a zeroed (N, H+2p, W+2p, O) canvas, then cropped into
+    NCHW plus `bias`."""
+    n, c, h, w = out_shape
+    oh, ow = B._conv_out_hw(h, w, kernel, stride, padding)
+    i_c = weights.shape[0]
+    w_mat = weights.transpose(0, 2, 3, 1).reshape(i_c, -1)
+    block = max(1, (2 << 20) // (oh * ow * kernel * kernel * c * 4))
+    out = np.empty(out_shape, dtype=np.float32)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        rows = x[a:b].reshape(b - a, i_c, oh * ow).transpose(0, 2, 1).reshape(-1, i_c)
+        cols = (rows @ w_mat).reshape(b - a, oh, ow, kernel, kernel, c)
+        canvas = np.zeros((b - a, h + 2 * padding, w + 2 * padding, c), dtype=np.float32)
+        for i in range(kernel):
+            for j in range(kernel):
+                canvas[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, :, i, j]
+        image = canvas[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+        out[a:b] = image if bias is None else image + bias[:, None, None]
+    return out
+
+
+EXACT_SETTINGS = [(4, 2, 1), (3, 2, 1), (3, 1, 1), (1, 1, 0)]
+
+
+def exact_cases(setting, hw):
+    """(x, weights, out_shape, bias) for `_conv_transpose` at one (kernel,
+    stride, padding) on hw inputs: batch 1, random batches, a batch of three
+    blocks, 1x1 inputs of up to 1024 channels, outputs of both parities where
+    a stride-2 conv allows them, bias given and None, and inputs with +0.0
+    and -0.0 among their values."""
+    kernel, stride, padding = setting
+    rng = np.random.default_rng(zlib.crc32(repr((setting, hw)).encode()))
+    outs = {tuple((d - 1) * stride - 2 * padding + kernel + extra for d in hw)
+            for extra in range(stride)}
+    outs = sorted(o for o in outs
+                  if min(o) >= 1 and B._conv_out_hw(*o, kernel, stride, padding) == hw)
+    size = hw[0] * hw[1]
+    channels = [(1, rng.integers(1, 40), rng.integers(1, 40)),
+                (rng.integers(2, 71), rng.integers(1, 300), rng.integers(1, 130)),
+                (rng.integers(2, 71), rng.integers(16, 129), rng.integers(16, 129)),
+                (64, rng.integers(8, 65), rng.integers(32, 129))]
+    if size == 1:
+        channels += [(1, 1024, rng.integers(16, 300)), (rng.integers(2, 9), 1024, 64),
+                     (64, rng.integers(300, 1025), rng.integers(16, 65))]
+    for out_hw in outs:
+        for n, in_c, out_c in channels:
+            yield int(n), int(in_c), int(out_c), out_hw
+        in_c, out_c = int(rng.integers(16, 129)), int(rng.integers(32, 129))
+        n = 2 * images_per_block(in_c, (out_c,) + out_hw, *setting) + 1
+        if n * in_c * size <= 4_000_000:  # three blocks, the last of one image
+            yield n, in_c, out_c, out_hw
+
+
+def exact_layer_inputs(rng, n, in_c, out_c, hw, kernel):
+    """Inputs with +0.0 and -0.0 among their values, and normal weights."""
+    x = rng.standard_normal((n, in_c) + hw).astype(np.float32)
+    x[x < -0.7] = 0.0
+    x[x > 1.3] = -0.0
+    return x, rng.standard_normal((in_c, out_c, kernel, kernel)).astype(np.float32)
+
+
 class TestConvLayout:
     """The convolution layers match einsum formulations up to float32
     rounding: the transpose-conv forward and the conv input gradient that of
     einsum plus an NCHW scatter, and the GEMMs over gathered columns that of
-    einsum over an im2col buffer.  Every image they make is C-contiguous
-    NCHW."""
+    einsum over an im2col buffer.  `_conv_transpose` also writes exactly the
+    bytes of the channels-last scatter it replaced.  Every image they make is
+    C-contiguous NCHW."""
+
+    @pytest.mark.parametrize("hw", SPATIAL)
+    @pytest.mark.parametrize("setting", EXACT_SETTINGS, ids=lambda s: "k%ds%dp%d" % s)
+    def test_transpose_same_bytes_as_channels_last(self, setting, hw):
+        kernel, stride, padding = setting
+        rng = np.random.default_rng(zlib.crc32(repr((setting, hw, "values")).encode()))
+        for n, in_c, out_c, out_hw in exact_cases(setting, hw):
+            x, weights = exact_layer_inputs(rng, n, in_c, out_c, hw, kernel)
+            out_shape = (n, out_c) + out_hw
+            planes = B._adds_phase_planes(in_c, out_shape, kernel, stride, padding)
+            for bias in (None, rng.standard_normal(out_c).astype(np.float32)):
+                got = B._conv_transpose(x, weights, out_shape, kernel, stride, padding, bias)
+                want = channels_last_reference(x, weights, out_shape, kernel, stride, padding,
+                                               bias)
+                what = (out_shape, in_c, "planes" if planes else "scatter", bias is None)
+                assert got.flags.c_contiguous, what
+                assert got.tobytes() == want.tobytes(), what
+
+    def test_exact_cases_reach_both_formulations(self):
+        chosen = {B._adds_phase_planes(in_c, (n, out_c) + out_hw, *setting)
+                  for setting in EXACT_SETTINGS for hw in SPATIAL
+                  for n, in_c, out_c, out_hw in exact_cases(setting, hw)}
+        assert chosen == {False, True}
+
+    @pytest.mark.parametrize("setting", EXACT_SETTINGS, ids=lambda s: "k%ds%dp%d" % s)
+    def test_transpose_non_finite_weights_stay_non_finite(self, setting):
+        """With inf, -inf and NaN among the weights, every output the
+        channels-last scatter makes non-finite is non-finite, and every one
+        both leave finite has the same bytes.  The phase planes may make
+        more outputs NaN: their zero columns meet the non-finite weights."""
+        kernel, stride, padding = setting
+        rng = np.random.default_rng(zlib.crc32(repr((setting, "non-finite")).encode()))
+        for hw in ((1, 1), (7, 7), (14, 14)):
+            for n, in_c, out_c, out_hw in list(exact_cases(setting, hw))[:4]:
+                x, weights = exact_layer_inputs(rng, n, in_c, out_c, hw, kernel)
+                flat = weights.reshape(-1)
+                flat[rng.choice(flat.size, size=3, replace=False)] = [np.inf, -np.inf, np.nan]
+                out_shape = (n, out_c) + out_hw
+                with np.errstate(invalid="ignore"):
+                    got = B._conv_transpose(x, weights, out_shape, kernel, stride, padding,
+                                            None)
+                    want = channels_last_reference(x, weights, out_shape, kernel, stride,
+                                                   padding, None)
+                finite = np.isfinite(got)
+                assert finite[~np.isfinite(want)].sum() == 0, (out_shape, in_c)
+                assert got[finite].tobytes() == want[finite].tobytes(), (out_shape, in_c)
 
     @pytest.mark.parametrize("hw", SPATIAL)
     def test_transpose_conv_forward(self, hw):
@@ -650,10 +765,9 @@ class TestConvLayout:
         cases = [(rng.integers(1, 71), rng.integers(1, 40), rng.integers(1, 81))
                  for _ in range(4)]
         if hw == (14, 14):  # three blocks, the last of two images
-            in_c = rng.integers(16, 40)
-            positions = math.prod(B._conv_out_hw(*hw, kernel, stride, padding))
-            cases.append((2 * images_per_block(positions, kernel * kernel * in_c) + 2,
-                          in_c, rng.integers(1, 81)))
+            in_c, out_c = rng.integers(16, 40), rng.integers(1, 81)
+            block = images_per_block(out_c, (in_c,) + hw, kernel, stride, padding)
+            cases.append((2 * block + 2, in_c, out_c))
         for n, in_c, out_c in cases:
             entry, x = random_layer_case(rng, (out_c, in_c, kernel, kernel), (out_c,),
                                          (n, in_c) + hw)
@@ -733,7 +847,7 @@ class TestConvLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < y.nbytes + 4 * B.COL2IM_BLOCK_BYTES, (peak, y.nbytes)
+        assert peak < y.nbytes + 2 * B.PLANE_BLOCK_BYTES, (peak, y.nbytes)
 
 
 SPECIAL_VALUES = np.concatenate([
